@@ -1,5 +1,8 @@
 """Benchmark the numba kernels against their pure-numpy fallbacks.
 
+The valuation solve has one plain-Python implementation and is timed
+end to end by ``perfbench/run.py --workload certify``.
+
 Run from the repository root:
 
     python3 benchmarks/bench_kernels.py
@@ -9,7 +12,6 @@ workloads and prints a small table.  When numba is unavailable (or
 disabled via BKSGEOM_DISABLE_NUMBA) only the numpy column is filled.
 """
 
-import random
 import time
 
 import numpy as np
@@ -28,28 +30,6 @@ def best_of(repeats, fn):
         fn()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def valuation_workload(width=22, extra=6, seed=2024):
-    """An unsatisfiable instance forcing a full 2^width scan.
-
-    Three linearly dependent masks with inconsistent parities make the
-    system unsolvable without letting either implementation shortcut;
-    the extra random rows keep per-candidate work realistic.
-    """
-    rng = random.Random(seed)
-    m1 = rng.randrange(1, 1 << width)
-    m2 = rng.randrange(1, 1 << width)
-    masks = [m1, m2, m1 ^ m2]
-    parities = [0, 0, 1]
-    for _ in range(extra):
-        masks.append(rng.randrange(1, 1 << width))
-        parities.append(rng.randrange(2))
-    return (
-        np.array(masks, dtype=np.int64),
-        np.array(parities, dtype=np.int64),
-        width,
-    )
 
 
 def cap_workload():
@@ -73,16 +53,6 @@ def parity_workload(count=1_000_000, seed=77):
 
 def main():
     rows = []
-
-    masks, parities, width = valuation_workload()
-    np_time = best_of(3, lambda: _kernels._valuation_scan_np(masks, parities, width))
-    jit_time = None
-    if _kernels.NUMBA_ACTIVE:
-        _kernels._valuation_scan_jit(masks, parities, 4)  # compile
-        jit_time = best_of(
-            3, lambda: _kernels._valuation_scan_jit(masks, parities, width)
-        )
-    rows.append((f"valuation_scan (2^{width}, 9 contexts)", np_time, jit_time))
 
     tables = cap_workload()
 

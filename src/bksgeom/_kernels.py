@@ -1,19 +1,17 @@
-"""Hot numeric kernels: numba fast paths with pure-numpy fallbacks.
+"""Numeric kernels: numba fast paths with pure-numpy fallbacks, and the
+valuation solve.
 
-Three inner loops dominate runtime at scale and are implemented twice,
-once with ``numba.njit`` and once with vectorised numpy:
-
-* ``valuation_scan``: exhaustive search over all 2^k noncontextual sign
-  assignments of a k-point universe.
+* ``valuation_scan``: the least noncontextual sign assignment of a
+  k-point universe, found by Gauss-Jordan elimination over GF(2) on
+  integer bitmask rows.  It is plain Python with no size limit.
 * ``cap_subsets``: enumeration of 5-point subsets of a rank-4 subspace
   that contain no collinear triple and no coplanar quadruple.
 * ``pair_parity``: batch evaluation of the symplectic form.
 
-Set the environment variable ``BKSGEOM_DISABLE_NUMBA=1`` before import
-to force the numpy fallbacks (useful on platforms without a working JIT
-and for benchmarking).  Very small valuation scans always take the
-numpy path, because below ``SMALL_SCAN_WIDTH`` bits the fallback
-finishes faster than a cold JIT compile would.
+The last two are implemented twice, once with ``numba.njit`` and once
+with vectorised numpy.  Set the environment variable
+``BKSGEOM_DISABLE_NUMBA=1`` before import to force the numpy fallbacks
+(useful on platforms without a working JIT and for benchmarking).
 """
 
 from __future__ import annotations
@@ -35,64 +33,41 @@ try:
 except ImportError:
     NUMBA_ACTIVE = False
 
-SMALL_SCAN_WIDTH = 16
-
 # ---------------------------------------------------------------------------
-# valuation scan
+# valuation solve
 
 
-def _valuation_scan_np(masks: np.ndarray, parities: np.ndarray, width: int) -> int:
-    """Least v in [0, 2^width) with popcount(v & mask_c) odd iff parities[c], else -1.
+def valuation_scan(masks, parities, width: int) -> int:
+    """Least v in [0, 2^width) with popcount(v & masks[c]) odd iff parities[c], else -1.
 
-    Scans in ascending chunks so memory stays bounded for wide scans.
+    Each row is one GF(2) equation on the bits of v.  Gauss-Jordan
+    elimination keeps every row's pivot at its lowest set bit and clears
+    that bit from every other row, so the remaining bits of a row are
+    free bits above its pivot.  Setting every free bit to 0 and every
+    pivot bit to its row's parity then gives the least solution: any
+    other solution differs from it in a free bit, and the highest bit in
+    which the two differ is a free bit, 0 in this one.  A row that
+    reduces to zero with odd parity has no solution.
     """
-    total = 1 << width
-    chunk = 1 << min(width, 20)
-    masks64 = masks.astype(np.uint64)
-    par64 = parities.astype(np.uint64)
-    one = np.uint64(1)
-    for base in range(0, total, chunk):
-        vs = np.arange(base, base + chunk, dtype=np.uint64)
-        ok = np.ones(chunk, dtype=bool)
-        for mask, parity in zip(masks64, par64):
-            ok &= (np.bitwise_count(vs & mask) & one) == parity
-            if not ok.any():
-                break
-        hits = np.nonzero(ok)[0]
-        if hits.size:
-            return base + int(hits[0])
-    return -1
-
-
-if NUMBA_ACTIVE:
-
-    @njit(cache=True)
-    def _valuation_scan_jit(masks, parities, width):  # pragma: no cover - jitted
-        total = np.int64(1) << width
-        count = masks.shape[0]
-        for v in range(total):
-            ok = True
-            for c in range(count):
-                w = v & masks[c]
-                bits = 0
-                while w:
-                    w &= w - 1
-                    bits += 1
-                if bits & 1 != parities[c]:
-                    ok = False
-                    break
-            if ok:
-                return v
-        return np.int64(-1)
-
-
-def valuation_scan(masks: np.ndarray, parities: np.ndarray, width: int) -> int:
-    """Dispatching wrapper; see module docstring for path selection."""
-    masks = np.ascontiguousarray(masks, dtype=np.int64)
-    parities = np.ascontiguousarray(parities, dtype=np.int64)
-    if NUMBA_ACTIVE and width > SMALL_SCAN_WIDTH:
-        return int(_valuation_scan_jit(masks, parities, width))
-    return _valuation_scan_np(masks, parities, width)
+    full = (1 << width) - 1
+    rows: list[list[int]] = []  # [pivot bit, mask, parity]
+    for mask, parity in zip(masks, parities):
+        mask, parity = int(mask) & full, int(parity) & 1
+        for pivot, row, odd in rows:
+            if mask & pivot:
+                mask ^= row
+                parity ^= odd
+        if not mask:
+            if parity:
+                return -1
+            continue
+        low = mask & -mask
+        for entry in rows:
+            if entry[1] & low:
+                entry[1] ^= mask
+                entry[2] ^= parity
+        rows.append([low, mask, parity])
+    return sum(pivot for pivot, _, odd in rows if odd)
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +211,6 @@ def pair_parity(x1, z1, x2, z2) -> np.ndarray:
 
 def warm_up() -> None:
     """Trigger JIT compilation of all kernels on tiny inputs."""
-    masks = np.array([1, 2], dtype=np.int64)
-    parities = np.array([0, 0], dtype=np.int64)
-    if NUMBA_ACTIVE:
-        _valuation_scan_jit(masks, parities, 2)
     third = np.zeros((3, 3), dtype=np.int64)
     third[0, 1] = third[1, 0] = 2
     third[0, 2] = third[2, 0] = 1

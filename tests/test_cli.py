@@ -206,6 +206,16 @@ def test_verify_missing_file_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_non_utf8_file_exits_3(tmp_path, capsys):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"\xff\xfe")
+    code = main(["verify", str(path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and "utf-8" in err
+    assert "Traceback" not in err
+
+
 def test_verify_json_matches_text_verdict(rect_path, capsys):
     code = main(["verify", rect_path, "--json"])
     report = json.loads(capsys.readouterr().out)

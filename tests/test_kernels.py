@@ -1,4 +1,4 @@
-"""Tests for the numba kernels and their numpy fallbacks."""
+"""Tests for the valuation solve, the numba kernels and their numpy fallbacks."""
 
 import os
 import random
@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bksgeom import _kernels
 from bksgeom.geometry import SymplecticPoint, enumerate_points, span, symplectic_form
@@ -35,7 +37,7 @@ def random_instance(rng, width, count):
 
 
 # ---------------------------------------------------------------------------
-# valuation scan
+# valuation solve
 
 
 def test_valuation_scan_matches_brute_force():
@@ -45,7 +47,32 @@ def test_valuation_scan_matches_brute_force():
         masks, parities = random_instance(rng, width, rng.randint(1, 8))
         expect = brute_valuation_scan(masks, parities, width)
         assert _kernels.valuation_scan(masks, parities, width) == expect
-        assert _kernels._valuation_scan_np(masks, parities, width) == expect
+
+
+@st.composite
+def scan_instances(draw):
+    width = draw(st.integers(0, 12))
+    rows = draw(
+        st.lists(
+            st.tuples(st.integers(0, (1 << width) - 1), st.integers(0, 1)),
+            max_size=10,
+        )
+    )
+    masks = [m for m, _ in rows]
+    parities = [p for _, p in rows]
+    if draw(st.booleans()):
+        # Callers may pass numpy int64 arrays as well as lists.
+        masks = np.array(masks, dtype=np.int64)
+        parities = np.array(parities, dtype=np.int64)
+    return masks, parities, width
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_instances())
+def test_valuation_scan_property_matches_brute_force(instance):
+    masks, parities, width = instance
+    expect = brute_valuation_scan(masks, parities, width)
+    assert _kernels.valuation_scan(masks, parities, width) == expect
 
 
 def test_valuation_scan_zero_width():
@@ -64,34 +91,13 @@ def test_valuation_scan_unsatisfiable():
 
 
 def test_numpy_scan_crosses_chunk_boundary():
+    # A target past 2^20 that an ascending scan in 2^20 chunks would
+    # reach only in its second chunk.
     width = 21
     target = (1 << 20) + 12345
     masks = np.array([1 << i for i in range(width)], dtype=np.int64)
     parities = np.array([(target >> i) & 1 for i in range(width)], dtype=np.int64)
-    assert _kernels._valuation_scan_np(masks, parities, width) == target
-
-
-@needs_numba
-def test_jit_scan_agrees_with_numpy():
-    rng = random.Random(67)
-    for _ in range(20):
-        width = rng.randint(1, 12)
-        masks, parities = random_instance(rng, width, rng.randint(1, 6))
-        assert _kernels._valuation_scan_jit(
-            masks, parities, width
-        ) == _kernels._valuation_scan_np(masks, parities, width)
-
-
-@needs_numba
-def test_dispatch_uses_numpy_below_threshold():
-    # Small widths must give the same answer regardless of path; the
-    # wrapper result equals both private implementations.
-    rng = random.Random(71)
-    masks, parities = random_instance(rng, _kernels.SMALL_SCAN_WIDTH, 4)
-    width = _kernels.SMALL_SCAN_WIDTH
-    wrapper = _kernels.valuation_scan(masks, parities, width)
-    assert wrapper == _kernels._valuation_scan_np(masks, parities, width)
-    assert wrapper == _kernels._valuation_scan_jit(masks, parities, width)
+    assert _kernels.valuation_scan(masks, parities, width) == target
 
 
 # ---------------------------------------------------------------------------

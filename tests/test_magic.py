@@ -1,11 +1,13 @@
 """Tests for contexts, configurations, certificates, and the twin map."""
 
+import json
+
 import pytest
 
 from bksgeom.classify import KIND_LINE, projective_closure
+from bksgeom.cli import main
 from bksgeom.geometry import SymplecticPoint, enumerate_points
 from bksgeom.magic import (
-    MAX_EXHAUSTIVE_UNIVERSE,
     Context,
     ContextError,
     MagicConfiguration,
@@ -237,6 +239,7 @@ def test_parity_soundness_on_mutated_configurations():
             assert cert.nchv_assignment_exists is True
         exists, witness = exhaustive_nchv_check(config)
         assert exists == cert.nchv_assignment_exists
+        assert witness == brute_least_witness(config)
         if witness is not None:
             for ctx in config.contexts:
                 prod = 1
@@ -245,22 +248,83 @@ def test_parity_soundness_on_mutated_configurations():
                 assert prod == canonical_context_sign(ctx)
 
 
-def test_large_universe_refuses_exhaustive_scan():
+def brute_least_witness(config):
+    """The first satisfying assignment of an ascending scan, or None."""
+    universe = config.universe
+    index = {p: i for i, p in enumerate(universe)}
+    rows = []
+    for ctx in config.contexts:
+        mask = 0
+        for p in ctx.points():
+            mask ^= 1 << index[p]
+        rows.append((mask, 1 if canonical_context_sign(ctx) == -1 else 0))
+    for v in range(1 << len(universe)):
+        if all(bin(v & mask).count("1") % 2 == odd for mask, odd in rows):
+            return {p: -1 if (v >> i) & 1 else 1 for i, p in enumerate(universe)}
+    return None
+
+
+def qubit_word(n, letters):
+    return "".join(letters.get(q, "I") for q in range(n))
+
+
+def chain_contexts(n, first):
+    """Lines {A_q, B_q+1, A_q B_q+1} for AB in XX, ZZ, XZ on qubits first..n-1.
+
+    For m = n - first qubits they hold 2m + 3(m - 1) points.  Each line
+    has product sign +1, and some points (Z on the first qubit) have odd
+    multiplicity, so no parity argument covers a configuration they join.
+    """
+    return [
+        (
+            qubit_word(n, {q: a}),
+            qubit_word(n, {q + 1: b}),
+            qubit_word(n, {q: a, q + 1: b}),
+        )
+        for a, b in ("XX", "ZZ", "XZ")
+        for q in range(first, n - 1)
+    ]
+
+
+def test_large_universe_is_decided(tmp_path, capsys):
+    # 31 points, one trivial context each: the all +1 witness.
     n = 16
-    words = []
-    for i in range(n):
-        words.append("I" * i + "X" + "I" * (n - 1 - i))
-    for i in range(n):
-        words.append("I" * i + "Z" + "I" * (n - 1 - i))
-    groups = [(w, w) for w in words[: MAX_EXHAUSTIVE_UNIVERSE + 1]]
-    config = MagicConfiguration.from_words(groups)
-    assert len(config.universe) == MAX_EXHAUSTIVE_UNIVERSE + 1
-    with pytest.raises(ValueError, match="universe has 31 points"):
-        exhaustive_nchv_check(config)
+    words = [qubit_word(n, {q: letter}) for letter in "XZ" for q in range(n)]
+    config = MagicConfiguration.from_words([(w, w) for w in words[:31]])
+    assert len(config.universe) == 31
+    exists, witness = exhaustive_nchv_check(config)
+    assert exists and set(witness.values()) == {1}
     cert = parity_witness(config)
-    assert cert.nchv_assignment_exists is None
-    assert cert.witness is None
+    assert cert.nchv_assignment_exists is True
+    assert len(cert.witness) == 31
     assert not cert.certified
+
+    # 81 points, so masks need more than 64 bits: the affine context of
+    # the rectangle forces one -1, on its least point.
+    n = 16
+    affine = [w + "I" * (n - 4) for w in CONTEXT_WORDS[4]]
+    config = MagicConfiguration.from_words(chain_contexts(n, 0) + [affine])
+    assert len(config.universe) == 81
+    cert = parity_witness(config)
+    assert cert.nchv_assignment_exists is True
+    negative = [p for p, v in cert.witness if v == -1]
+    assert negative == [min((pt(w) for w in affine), key=lambda p: p.value)]
+
+    # 48 points with the rectangle embedded: the parity argument does not
+    # apply to the whole configuration, but the solve finds no assignment.
+    n = 12
+    padded = [[w + "I" * (n - 4) for w in ctx] for ctx in CONTEXT_WORDS]
+    groups = padded + chain_contexts(n, 4)
+    config = MagicConfiguration.from_words(groups)
+    assert len(config.universe) == 48
+    assert not parity_witness(config).certified
+    path = tmp_path / "embedded.txt"
+    path.write_text("\n\n".join("\n".join(g) for g in groups) + "\n", encoding="utf-8")
+    code = main(["verify", str(path), "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["verdict"] == "contradiction"
+    assert report["witness"] is None
 
 
 # ---------------------------------------------------------------------------
