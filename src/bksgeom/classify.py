@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .geometry import Subspace, SymplecticPoint, contains, enumerate_points, span
+from .geometry import Subspace, SymplecticPoint, enumerate_points, span
 from .pauli import point_word
 
 KIND_SINGLE_POINT = "single_point"

@@ -35,12 +35,11 @@ import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .classify import classify_set
-from .geometry import SymplecticPoint, Subspace, enumerate_points, is_totally_isotropic
+from .geometry import SymplecticPoint, enumerate_points, is_totally_isotropic
 from .magic import (
     Context,
     ContextError,
     MagicConfiguration,
-    canonical_context_sign,
     complement_config,
     context_sign,
     intersection_lines,
@@ -52,7 +51,6 @@ from .pauli import (
     ParseError,
     PauliObservable,
     format_observable,
-    multiply,
     parse_observable,
     point_word,
     to_symplectic,
@@ -60,7 +58,6 @@ from .pauli import (
 from .rectangle import CONTEXT_NAMES, anchor_point, magic_rectangle
 from .search import (
     SearchOptions,
-    canonical_config,
     cap_census,
     find_magic_rectangles,
     find_mermin_squares,

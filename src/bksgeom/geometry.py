@@ -8,8 +8,10 @@ are totally ordered by that value.  Subspaces are kept in reduced row
 echelon form over GF(2), which makes equality of subspaces equality of
 row tuples.
 
-All arithmetic here is exact integer bit twiddling; nothing in this
-module depends on numpy.
+All arithmetic here is exact integer bit twiddling.  The two primitives
+on packed values, :func:`packed_form` (the symplectic form) and
+:func:`reduce_row` (reduction against echelon rows), are the only
+implementations of those operations in the package.
 """
 
 from __future__ import annotations
@@ -21,8 +23,24 @@ from typing import Iterable, Iterator
 MAX_QUBITS = 16
 
 
-def _popcount(v: int) -> int:
-    return bin(v).count("1")
+def packed_form(n: int, u: int, v: int) -> int:
+    """Symplectic form of two packed 2N-bit values: popcount(x_u & z_v ^ z_u & x_v) mod 2.
+
+    Shifting a value right by N leaves its x block, which lines up with
+    the other value's z block, so no mask is needed.
+    """
+    return ((u >> n) & v ^ u & (v >> n)).bit_count() & 1
+
+
+def reduce_row(value: int, rows: Iterable[int]) -> int:
+    """Reduce a GF(2) row vector against rows in descending pivot order.
+
+    Each row's pivot is its most significant bit, and XORing the row in
+    clears that bit exactly when the result is smaller.
+    """
+    for row in rows:
+        value = min(value, value ^ row)
+    return value
 
 
 @dataclass(frozen=True, order=True)
@@ -72,7 +90,7 @@ def symplectic_form(u: SymplecticPoint, v: SymplecticPoint) -> int:
     they anticommute.
     """
     _check_same_space(u, v)
-    return (_popcount(u.x & v.z) + _popcount(u.z & v.x)) % 2
+    return packed_form(u.n, u.value, v.value)
 
 
 def third_point(p: SymplecticPoint, q: SymplecticPoint) -> SymplecticPoint:
@@ -103,8 +121,7 @@ def _rref(values: Iterable[int], width: int) -> tuple[int, ...]:
     """
     rows: list[int] = []
     for value in values:
-        for row in rows:
-            value = min(value, value ^ row)
+        value = reduce_row(value, rows)
         if value:
             rows.append(value)
             rows.sort(reverse=True)
@@ -161,10 +178,7 @@ def contains(s: Subspace, p: SymplecticPoint) -> bool:
     """Whether the point lies in the subspace (reduce against the RREF rows)."""
     if s.n != p.n:
         raise ValueError(f"point and subspace live in different spaces (n={p.n} vs n={s.n})")
-    value = p.value
-    for row in s.rows:
-        value = min(value, value ^ row)
-    return value == 0
+    return reduce_row(p.value, s.rows) == 0
 
 
 def enumerate_points(s: Subspace) -> list[SymplecticPoint]:
@@ -212,11 +226,4 @@ def is_totally_isotropic(s: Subspace) -> bool:
     Totally isotropic subspaces correspond to sets of mutually commuting
     Pauli observables; in W(2N-1, 2) their rank is at most N.
     """
-    n = s.n
-    mask = (1 << n) - 1
-    for r1, r2 in itertools.combinations_with_replacement(s.rows, 2):
-        x1, z1 = r1 >> n, r1 & mask
-        x2, z2 = r2 >> n, r2 & mask
-        if (_popcount(x1 & z2) + _popcount(z1 & x2)) % 2:
-            return False
-    return True
+    return not any(packed_form(s.n, r1, r2) for r1, r2 in itertools.combinations(s.rows, 2))

@@ -31,8 +31,8 @@ from .pauli import (
     format_observable,
     from_symplectic,
     multiply,
+    packed_product,
     parse_observable,
-    point_word,
     product_of_set,
     to_symplectic,
 )
@@ -109,18 +109,17 @@ def canonical_context_sign(ctx: Context) -> int:
     is constrained against; member signs cancel out of the constraint.
     """
     validate_context(ctx)
-    stripped = [PauliObservable(o.n, o.x, o.z, 1) for o in ctx.observables]
-    return product_of_set(stripped).sign
+    return packed_product(ctx.observables[0].n, [o.value for o in ctx.observables])[0]
+
+
+def observable_key(obs: PauliObservable) -> tuple[int, int]:
+    """Canonical member order: by packed value (identities first), + before -."""
+    return (obs.value, -obs.sign)
 
 
 def sorted_observables(ctx: Context) -> Tuple[PauliObservable, ...]:
-    """Members in canonical order: by point value, identities first."""
-
-    def key(obs: PauliObservable) -> tuple[int, int]:
-        value = 0 if obs.is_identity else to_symplectic(obs).value
-        return (value, 0 if obs.sign > 0 else 1)
-
-    return tuple(sorted(ctx.observables, key=key))
+    """Members in canonical order (see :func:`observable_key`)."""
+    return tuple(sorted(ctx.observables, key=observable_key))
 
 
 @dataclass(frozen=True)

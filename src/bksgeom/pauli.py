@@ -9,7 +9,8 @@ the most significant bit, matching the point encoding in
 
 Multiplication is per qubit: (X^a Z^b)(X^a' Z^b') = (-1)^(b a') X^(a+a') Z^(b+b'),
 so the sign flips once for every qubit where the left factor has a Z
-crossing an X of the right factor.
+crossing an X of the right factor.  :func:`packed_product` is the one
+implementation of that fold; it works on packed 2N-bit values.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .geometry import MAX_QUBITS, SymplecticPoint
+from .geometry import MAX_QUBITS, SymplecticPoint, packed_form
 
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _BITS_LETTER = {bits: letter for letter, bits in _LETTER_BITS.items()}
@@ -59,6 +60,11 @@ class PauliObservable:
     def is_identity(self) -> bool:
         """True for +I...I and -I...I alike."""
         return self.x == 0 and self.z == 0
+
+    @property
+    def value(self) -> int:
+        """Packed 2N-bit word, x block high, z block low; the sign is dropped."""
+        return (self.x << self.n) | self.z
 
     @property
     def letters(self) -> str:
@@ -113,27 +119,35 @@ def _check_same_space(a: PauliObservable, b: PauliObservable) -> None:
         raise ValueError(f"observables act on different qubit counts ({a.n} vs {b.n})")
 
 
-def _popcount(v: int) -> int:
-    return bin(v).count("1")
+def packed_product(n: int, values: Iterable[int]) -> tuple[int, int]:
+    """Sign and packed word of the left-to-right product of positive words.
+
+    Each factor's X letters move past the Z letters accumulated so far,
+    one sign flip per crossing: (-1)^popcount(z_acc & x_v).  Shifting a
+    value right by N leaves its x block, aligned with the z block.
+    """
+    acc = flips = 0
+    for v in values:
+        flips += (acc & (v >> n)).bit_count()
+        acc ^= v
+    return (-1 if flips & 1 else 1), acc
+
+
+def _from_packed(n: int, word: int, sign: int) -> PauliObservable:
+    return PauliObservable(n, word >> n, word & ((1 << n) - 1), sign)
 
 
 def multiply(a: PauliObservable, b: PauliObservable) -> PauliObservable:
-    """The product a * b in the real Pauli group (order matters).
-
-    Per qubit, moving the right factor's X letters past the left
-    factor's Z letters contributes one sign flip each, so the extra sign
-    is (-1)^popcount(z_a & x_b).
-    """
+    """The product a * b in the real Pauli group (order matters)."""
     _check_same_space(a, b)
-    flips = _popcount(a.z & b.x)
-    sign = a.sign * b.sign * (-1 if flips % 2 else 1)
-    return PauliObservable(a.n, a.x ^ b.x, a.z ^ b.z, sign)
+    sign, word = packed_product(a.n, (a.value, b.value))
+    return _from_packed(a.n, word, sign * a.sign * b.sign)
 
 
 def commutes(a: PauliObservable, b: PauliObservable) -> bool:
     """Whether a and b commute; signs never matter for commutation."""
     _check_same_space(a, b)
-    return (_popcount(a.x & b.z) + _popcount(a.z & b.x)) % 2 == 0
+    return packed_form(a.n, a.value, b.value) == 0
 
 
 def product_of_set(observables: Iterable[PauliObservable]) -> PauliObservable:
@@ -145,10 +159,13 @@ def product_of_set(observables: Iterable[PauliObservable]) -> PauliObservable:
     obs_list = list(observables)
     if not obs_list:
         raise ValueError("product of an empty collection is ambiguous; give at least one observable")
-    acc = obs_list[0]
-    for obs in obs_list[1:]:
-        acc = multiply(acc, obs)
-    return acc
+    n = obs_list[0].n
+    sign = 1
+    for obs in obs_list:
+        _check_same_space(obs_list[0], obs)
+        sign *= obs.sign
+    product_sign, word = packed_product(n, [obs.value for obs in obs_list])
+    return _from_packed(n, word, sign * product_sign)
 
 
 def to_symplectic(obs: PauliObservable) -> SymplecticPoint:

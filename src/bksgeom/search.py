@@ -35,22 +35,21 @@ from .geometry import (
     MAX_QUBITS,
     Subspace,
     SymplecticPoint,
-    all_points,
     enumerate_points,
     intersect,
+    packed_form,
+    reduce_row,
     span,
-    symplectic_form,
 )
 from .magic import (
     Context,
     MagicConfiguration,
     canonical_context_sign,
     complement_config,
+    observable_key,
     sorted_observables,
 )
-from .pauli import from_symplectic, to_symplectic
-
-import numpy as np
+from .pauli import from_symplectic, packed_product
 
 SHAPES = ("mermin_square", "hc_rectangle", "ovoid_census")
 
@@ -106,25 +105,6 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _product_sign(n: int, values: Sequence[int]) -> tuple[int, int, int]:
-    """Sign and residual (x, z) of the product of positive observables."""
-    lowmask = (1 << n) - 1
-    x = z = 0
-    sign = 1
-    for v in values:
-        vx, vz = v >> n, v & lowmask
-        if bin(z & vx).count("1") % 2:
-            sign = -sign
-        x ^= vx
-        z ^= vz
-    return sign, x, z
-
-
-def _form_values(n: int, u: int, v: int) -> int:
-    lowmask = (1 << n) - 1
-    return (bin((u >> n) & (v & lowmask)).count("1") + bin((u & lowmask) & (v >> n)).count("1")) % 2
-
-
 def _context_from_values(n: int, values: Sequence[int]) -> Context:
     return Context(
         tuple(
@@ -136,14 +116,7 @@ def _context_from_values(n: int, values: Sequence[int]) -> Context:
 def canonical_config(config: MagicConfiguration) -> MagicConfiguration:
     """Sort members within contexts and contexts within the configuration."""
     ctxs = [Context(sorted_observables(ctx)) for ctx in config.contexts]
-
-    def ctx_key(ctx: Context) -> tuple:
-        return tuple(
-            (0 if o.is_identity else to_symplectic(o).value, 0 if o.sign > 0 else 1)
-            for o in ctx.observables
-        )
-
-    ctxs.sort(key=ctx_key)
+    ctxs.sort(key=lambda ctx: [observable_key(o) for o in ctx.observables])
     return MagicConfiguration(tuple(ctxs))
 
 
@@ -197,15 +170,10 @@ class _Emitter:
 # caps
 
 
-def _third_table(points: Sequence[SymplecticPoint]) -> np.ndarray:
+def _third_table(points: Sequence[SymplecticPoint]) -> List[List[int]]:
+    """third[i][j] is the index of points[i] XOR points[j]; the diagonal is -1."""
     index = {p.value: i for i, p in enumerate(points)}
-    k = len(points)
-    third = np.zeros((k, k), dtype=np.int64)
-    for i in range(k):
-        for j in range(i + 1, k):
-            t = index[points[i].value ^ points[j].value]
-            third[i, j] = third[j, i] = t
-    return third
+    return [[index.get(p.value ^ q.value, -1) for q in points] for p in points]
 
 
 def enumerate_caps(subspace: Subspace) -> List[Tuple[SymplecticPoint, ...]]:
@@ -238,17 +206,12 @@ def maximal_isotropic_through(point: SymplecticPoint) -> Tuple[Subspace, ...]:
         if sub.rank == n:
             found.append(sub)
             continue
-        for q in all_points(n):
-            inside = q.value
-            for row in sub.rows:
-                inside = min(inside, inside ^ row)
-            if inside == 0:
+        for q in range(1, 1 << (2 * n)):
+            if reduce_row(q, sub.rows) == 0:
                 continue
-            if any(
-                _form_values(n, q.value, row) for row in sub.rows
-            ):
+            if any(packed_form(n, q, row) for row in sub.rows):
                 continue
-            new = span([SymplecticPoint.from_value(n, v) for v in sub.rows + (q.value,)])
+            new = span([SymplecticPoint.from_value(n, v) for v in sub.rows + (q,)])
             if new.rows not in seen:
                 seen.add(new.rows)
                 stack.append(new)
@@ -307,11 +270,11 @@ def find_mermin_squares(options: SearchOptions) -> List[MagicConfiguration]:
     if options.qubit_count != 2:
         raise ValueError("mermin square search is defined for 2 qubits")
     n = 2
-    values = [p.value for p in all_points(n)]
+    values = range(1, 1 << (2 * n))
     lines = []
     for a, b in itertools.combinations(values, 2):
         c = a ^ b
-        if c > b and _form_values(n, a, b) == 0:
+        if c > b and packed_form(n, a, b) == 0:
             lines.append((a, b, c))
     lines.sort()
 
@@ -349,6 +312,14 @@ def find_mermin_squares(options: SearchOptions) -> List[MagicConfiguration]:
 # rectangles
 
 
+def _negative_affine(n: int, values: Sequence[int]) -> bool:
+    """Whether the packed points sum to zero, pairwise commute and have
+    canonical product sign -1: a valid affine context of sign -1."""
+    if packed_product(n, values) != (-1, 0):
+        return False
+    return not any(packed_form(n, u, v) for u, v in itertools.combinations(values, 2))
+
+
 class _RectangleWalk:
     """State of the clique walk: caches for caps, pair ranks, compat masks."""
 
@@ -371,8 +342,7 @@ class _RectangleWalk:
             good = []
             for row in rows:
                 vals = tuple(points[j].value for j in row)
-                sign, x, z = _product_sign(self.n, vals)
-                if sign == 1 and x == 0 and z == 0:
+                if packed_product(self.n, vals) == (1, 0):
                     good.append(vals)
             self._caps[i] = good
             self._cap_sets[i] = [frozenset(v) for v in good]
@@ -418,13 +388,7 @@ class _RectangleWalk:
         self, quads: Tuple[Tuple[int, ...], ...], odd: List[int]
     ) -> Optional[MagicConfiguration]:
         """Build the configuration when the odd points close up affinely."""
-        if odd[0] ^ odd[1] ^ odd[2] ^ odd[3] != 0:
-            return None
-        for u, v in itertools.combinations(odd, 2):
-            if _form_values(self.n, u, v):
-                return None
-        sign, x, z = _product_sign(self.n, odd)
-        if sign != -1 or x or z:
+        if not _negative_affine(self.n, odd):
             return None
         contexts = [_context_from_values(self.n, cap) for cap in quads]
         contexts.append(_context_from_values(self.n, sorted(odd)))
@@ -474,18 +438,7 @@ def _is_rectangle(config: MagicConfiguration, anchor: SymplecticPoint) -> bool:
     odd = sorted((p for p, c in counts.items() if c % 2 == 1), key=lambda p: p.value)
     if odd != sorted(affine, key=lambda p: p.value):
         return False
-    acc = 0
-    for p in affine:
-        acc ^= p.value
-    if acc != 0:
-        return False
-    affine_ctx = Context(tuple(from_symplectic(p) for p in affine))
-    try:
-        if canonical_context_sign(affine_ctx) != -1:
-            return False
-    except ValueError:
-        return False
-    return True
+    return _negative_affine(anchor.n, [p.value for p in affine])
 
 
 def find_magic_rectangles(options: SearchOptions) -> List[MagicConfiguration]:

@@ -1,20 +1,8 @@
-"""Shared fixtures: JIT warm-up and the built-in configurations."""
+"""Shared fixtures: the built-in configurations."""
 
 import pytest
 
-import bksgeom._kernels as kernels
 from bksgeom.rectangle import magic_rectangle, twin_rectangle
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile the numba kernels once up front.
-
-    Timed acceptance criteria measure algorithmic cost; without this the
-    first kernel call would fold JIT compilation into whichever test
-    happens to run first.
-    """
-    kernels.warm_up()
 
 
 @pytest.fixture()

@@ -1,11 +1,12 @@
 """Tests for the sign-tracked real Pauli algebra."""
 
+import functools
 import random
 
 import numpy as np
 import pytest
 
-from bksgeom.geometry import SymplecticPoint
+from bksgeom.geometry import SymplecticPoint, symplectic_form
 from bksgeom.pauli import (
     MAX_QUBITS,
     ParseError,
@@ -183,6 +184,24 @@ def test_mixed_sizes_rejected():
         multiply(parse_observable("X"), parse_observable("XX"))
     with pytest.raises(ValueError):
         commutes(parse_observable("X"), parse_observable("XX"))
+    with pytest.raises(ValueError):
+        product_of_set([parse_observable("X"), parse_observable("Z"), parse_observable("XX")])
+
+
+def test_form_and_commutes_match_letter_count_n16():
+    """Reference shared with no bitmask code: two words anticommute iff
+    the positions where both letters are non-I and differ are odd in number."""
+    rng = random.Random(73)
+    checked = 0
+    while checked < 1000:
+        words = ["".join(rng.choice("IXZY") for _ in range(16)) for _ in range(2)]
+        if "I" * 16 in words:
+            continue
+        clashes = sum(1 for p, q in zip(*words) if p != "I" and q != "I" and p != q)
+        a, b = (parse_observable(w) for w in words)
+        assert symplectic_form(to_symplectic(a), to_symplectic(b)) == clashes % 2
+        assert commutes(a, b) == (clashes % 2 == 0)
+        checked += 1
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +221,18 @@ def test_product_of_set_order_independent_for_commuting():
         shuffled = members[:]
         rng.shuffle(shuffled)
         assert product_of_set(shuffled) == base
+
+
+def test_product_of_set_matches_matrices_random():
+    rng = random.Random(4243)
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        obs = [
+            PauliObservable(n, rng.randrange(1 << n), rng.randrange(1 << n), rng.choice([1, -1]))
+            for _ in range(rng.randint(2, 5))
+        ]
+        want = functools.reduce(np.matmul, [matrix_of(o) for o in obs])
+        assert np.array_equal(matrix_of(product_of_set(obs)), want)
 
 
 def test_product_of_set_empty_rejected():

@@ -324,6 +324,22 @@ def test_invalid_seed_rejected():
         )
 
 
+def test_seed_with_positive_affine_context_rejected():
+    # Four anchored caps of the rectangle shape whose odd points form a
+    # commuting affine context of canonical sign +1, not -1.
+    caps = (
+        ("IIZI", "IIZZ", "ZIII", "IXII", "ZXIZ"),
+        ("ZIII", "ZIIX", "ZIXI", "IXII", "ZXXX"),
+        ("IIZI", "ZIIX", "IXII", "YIIZ", "XXZY"),
+        ("IIZZ", "IXII", "ZXXX", "YIIZ", "XIYX"),
+    )
+    affine = ("ZIXI", "ZXIZ", "XIYX", "XXZY")
+    config = MagicConfiguration.from_words(caps + (affine,))
+    assert [canonical_context_sign(ctx) for ctx in config.contexts] == [1, 1, 1, 1, 1]
+    with pytest.raises(ValueError, match="seed"):
+        find_magic_rectangles(rect_options(seed=config))
+
+
 def test_rectangle_rejects_wrong_size():
     with pytest.raises(ValueError, match="4 qubits"):
         find_magic_rectangles(SearchOptions(qubit_count=2, shape="hc_rectangle"))
