@@ -200,9 +200,6 @@ class ContradictionCertificate:
         """True when the parity argument proves no assignment can exist."""
         return self.all_multiplicities_even and self.sign_product == -1
 
-    def witness_dict(self) -> Optional[Dict[SymplecticPoint, int]]:
-        return None if self.witness is None else dict(self.witness)
-
 
 def _scan_tables(config: MagicConfiguration) -> tuple[list[int], list[int], int]:
     """One GF(2) row per context: a bitmask over universe indices and a parity."""

@@ -14,8 +14,8 @@ Three searches are offered, selected by SearchOptions.shape:
   quadrics inside rank-4 ambient spaces (see :func:`cap_census`).
 
 Rectangle search walks 4-cliques of maximal totally isotropic subspaces
-through the anchor (pairwise meeting in lines), with per-pair
-compatibility bitmasks pruning the cap choices and shared-point
+through the anchor (pairwise meeting in lines) on packed integers, with
+per-pair compatibility bitmasks pruning the cap choices and shared-point
 distinctness pruning the surviving branches.  Results are emitted in
 (configuration, twin) pairs so that truncation by ``limit`` never
 separates a configuration from its complement; an odd limit simply
@@ -35,6 +35,7 @@ from .geometry import (
     MAX_QUBITS,
     Subspace,
     SymplecticPoint,
+    _rref,
     enumerate_points,
     intersect,
     packed_form,
@@ -193,30 +194,29 @@ def enumerate_caps(subspace: Subspace) -> List[Tuple[SymplecticPoint, ...]]:
 def maximal_isotropic_through(point: SymplecticPoint) -> Tuple[Subspace, ...]:
     """Every maximal totally isotropic subspace containing the point.
 
-    In W(2N-1, 2) these have rank N; through any fixed point of the
-    four-qubit space there are 135 of them.
+    These have rank N; through any point of W(2N-1, 2) there are
+    (2 + 1)(4 + 1)...(2^(N-1) + 1) = 1, 3, 15, 135 for N = 1..4.  The
+    depth-first walk runs on packed values over the point's perp: an
+    RREF row tuple grows by the least point of each commuting coset.
     """
-    n = point.n
-    start = span([point])
-    seen = {start.rows}
-    stack = [start]
-    found: List[Subspace] = []
+    n, width, start = point.n, 2 * point.n, (point.value,)
+    perp = [q for q in range(1, 1 << width) if not packed_form(n, q, point.value)]
+    seen = {start}
+    stack = [(start, perp)]
+    found: List[Tuple[int, ...]] = []
     while stack:
-        sub = stack.pop()
-        if sub.rank == n:
-            found.append(sub)
+        rows, candidates = stack.pop()
+        if len(rows) == n:
+            found.append(rows)
             continue
-        for q in range(1, 1 << (2 * n)):
-            if reduce_row(q, sub.rows) == 0:
+        for q in candidates:
+            if reduce_row(q, rows) != q:
                 continue
-            if any(packed_form(n, q, row) for row in sub.rows):
-                continue
-            new = span([SymplecticPoint.from_value(n, v) for v in sub.rows + (q,)])
-            if new.rows not in seen:
-                seen.add(new.rows)
-                stack.append(new)
-    found.sort(key=lambda s: s.rows)
-    return tuple(found)
+            new = _rref(rows + (q,), width)
+            if new not in seen:
+                seen.add(new)
+                stack.append((new, [c for c in candidates if not packed_form(n, c, q)]))
+    return tuple(Subspace(n, rows) for rows in sorted(found))
 
 
 def cap_census(options: SearchOptions) -> List[Tuple[Subspace, List[Tuple[SymplecticPoint, ...]]]]:
@@ -328,7 +328,7 @@ class _RectangleWalk:
         self.n = anchor.n
         self.lagrangians = maximal_isotropic_through(anchor)
         self._caps: Dict[int, List[Tuple[int, ...]]] = {}
-        self._cap_sets: Dict[int, List[frozenset]] = {}
+        self._cap_masks: Dict[int, List[int]] = {}
         self._pair_ok: Dict[Tuple[int, int], bool] = {}
         self._compat: Dict[Tuple[int, int], Tuple[List[int], List[Dict[int, int]]]] = {}
 
@@ -345,15 +345,15 @@ class _RectangleWalk:
                 if packed_product(self.n, vals) == (1, 0):
                     good.append(vals)
             self._caps[i] = good
-            self._cap_sets[i] = [frozenset(v) for v in good]
+            self._cap_masks[i] = [sum(1 << v for v in cap) for cap in good]
         return self._caps[i]
 
     def pair_ok(self, i: int, j: int) -> bool:
-        """Spans must meet in exactly a line for the rectangle shape."""
+        """Spans must meet in a line: rank A + rank B - rank(A + B) == 2."""
         key = (i, j)
         if key not in self._pair_ok:
-            meet = intersect(self.lagrangians[i], self.lagrangians[j])
-            self._pair_ok[key] = meet.rank == 2
+            a, b = self.lagrangians[i].rows, self.lagrangians[j].rows
+            self._pair_ok[key] = len(a) + len(b) - len(_rref(a + b, 2 * self.n)) == 2
         return self._pair_ok[key]
 
     def compat(self, i: int, j: int) -> Tuple[List[int], List[Dict[int, int]]]:
@@ -367,18 +367,17 @@ class _RectangleWalk:
         if key not in self._compat:
             self.caps(i)
             self.caps(j)
-            anchor_value = self.anchor.value
+            anchor_bit = 1 << self.anchor.value
             masks: List[int] = []
             shared: List[Dict[int, int]] = []
-            for set_a in self._cap_sets[i]:
+            for cap_a in self._cap_masks[i]:
                 mask = 0
                 values: Dict[int, int] = {}
-                for b, set_b in enumerate(self._cap_sets[j]):
-                    meet = set_a & set_b
-                    if len(meet) == 2:
+                for b, cap_b in enumerate(self._cap_masks[j]):
+                    meet = cap_a & cap_b
+                    if meet.bit_count() == 2:
                         mask |= 1 << b
-                        (extra,) = meet - {anchor_value}
-                        values[b] = extra
+                        values[b] = (meet ^ anchor_bit).bit_length() - 1
                 masks.append(mask)
                 shared.append(values)
             self._compat[key] = (masks, shared)

@@ -1,6 +1,8 @@
 """Tests for the cap census, square search, and rectangle search."""
 
+import hashlib
 import itertools
+import math
 
 import pytest
 
@@ -16,6 +18,7 @@ from bksgeom.geometry import (
     intersect,
     is_totally_isotropic,
     span,
+    subspace_sum,
 )
 from bksgeom.magic import (
     MagicConfiguration,
@@ -28,6 +31,7 @@ from bksgeom.pauli import parse_observable, to_symplectic
 from bksgeom.rectangle import anchor_point, magic_rectangle, twin_rectangle
 from bksgeom.search import (
     SearchOptions,
+    _RectangleWalk,
     canonical_config,
     cap_census,
     enumerate_caps,
@@ -148,6 +152,67 @@ def test_lagrangian_pair_rank_distribution():
         r = intersect(a, b).rank
         dist[r] = dist.get(r, 0) + 1
     assert dist == {1: 4320, 2: 3780, 3: 945}
+
+
+def _commute(n: int, u: int, v: int) -> bool:
+    """Qubit by qubit: the X and Z bits of one qubit sit at bits n + k and k."""
+    odd = 0
+    for k in range(n):
+        xu, zu = u >> (n + k) & 1, u >> k & 1
+        xv, zv = v >> (n + k) & 1, v >> k & 1
+        odd ^= xu & zv ^ zu & xv
+    return odd == 0
+
+
+def _closure(values) -> frozenset:
+    """Nonzero XORs of every subset of the values."""
+    points = {0}
+    for v in values:
+        points |= {p ^ v for p in points}
+    return frozenset(points - {0})
+
+
+def _brute_force_lagrangians(n: int, anchor: int) -> set:
+    """Point sets of rank-n totally isotropic spans of n perp points."""
+    perp = [q for q in range(1, 1 << (2 * n)) if _commute(n, q, anchor)]
+    found = set()
+    for combo in itertools.combinations(perp, n):
+        if not all(_commute(n, u, v) for u, v in itertools.combinations(combo, 2)):
+            continue
+        points = _closure(combo)
+        if len(points) == (1 << n) - 1 and anchor in points:
+            found.add(points)
+    return found
+
+
+@pytest.mark.parametrize(
+    "word",
+    ["X", "Z", "Y", "XI", "YY", "XIZ", "YYI", "IYI", "IXII", "XIIZ", "YYYY", "YIII"],
+)
+def test_lagrangians_against_the_count_and_brute_force(word):
+    anchor = pt(word)
+    n = anchor.n
+    subs = maximal_isotropic_through(anchor)
+    assert len(subs) == math.prod((1 << i) + 1 for i in range(1, n))
+    rows = [s.rows for s in subs]
+    assert rows == sorted(rows)
+    assert len(set(rows)) == len(rows)
+    for s in subs:
+        assert s.rank == n
+        assert is_totally_isotropic(s)
+        assert anchor.value in _closure(s.rows)
+    if n <= 3:
+        assert {_closure(r) for r in rows} == _brute_force_lagrangians(n, anchor.value)
+
+
+def test_pair_meet_rank_by_dimension_formula():
+    walk = _RectangleWalk(anchor_point())
+    subs = walk.lagrangians
+    for i, j in itertools.combinations(range(len(subs)), 2):
+        a, b = subs[i], subs[j]
+        meet = intersect(a, b).rank
+        assert a.rank + b.rank - subspace_sum(a, b).rank == meet
+        assert walk.pair_ok(i, j) == (meet == 2)
 
 
 def test_lagrangians_two_qubits():
@@ -349,3 +414,26 @@ def test_rectangle_rejects_wrong_size():
 
 def test_cli_shape_alias():
     assert find_hc_rectangles is find_magic_rectangles
+
+
+# Digests of the result words, recorded before the Lagrangian walk and
+# the pair tests moved to packed integers; they pin the emission order.
+RECTANGLE_DIGESTS = {
+    ("IXII", 4): "2c8a0a07f6eb6958ceb0",
+    ("IXII", 100): "bcee58b03834f4577bc4",
+    ("XIIZ", 4): "33841f0124d8985e78dc",
+    ("XIIZ", 100): "33596a1e75911a906755",
+    ("YYYY", 4): "5eb9cab41ce913bf585b",
+    ("YYYY", 100): "30d8ca9f99d7871c38d2",
+}
+
+
+@pytest.mark.parametrize("anchor, limit", sorted(RECTANGLE_DIGESTS))
+def test_rectangle_results_match_recorded_digest(anchor, limit):
+    results = find_magic_rectangles(rect_options(anchor_point=pt(anchor), limit=limit))
+    assert len(results) == limit
+    text = "\n".join(
+        " ".join(",".join(ctx.words) for ctx in config.contexts) for config in results
+    )
+    digest = hashlib.sha256(text.encode()).hexdigest()[:20]
+    assert digest == RECTANGLE_DIGESTS[anchor, limit]
