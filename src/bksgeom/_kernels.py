@@ -60,6 +60,11 @@ def cap_subsets(third, fixed: int = -1) -> list[tuple[int, ...]]:
     ``fixed`` is non-negative only subsets containing it are returned.
     Rows come back in lexicographic order, each sorted.
 
+    Two callers remain: ``search.enumerate_caps`` (the ovoid census) and
+    ``search._anchored_cap_patterns``, which runs it once per process on
+    GF(2)^4 to build the table the rectangle walk maps into every
+    Lagrangian.
+
     Over GF(2) three points are collinear exactly when one is the sum of
     the other two, and four points with no collinear triple are coplanar
     exactly when one is the sum of the other three.  So a partial cap

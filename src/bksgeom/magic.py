@@ -24,13 +24,11 @@ from functools import cached_property
 from typing import Dict, Iterable, Optional, Tuple
 
 from . import _kernels
-from .geometry import Subspace, SymplecticPoint, intersect, span
+from .geometry import Subspace, SymplecticPoint, intersect, packed_form, span
 from .pauli import (
     PauliObservable,
-    commutes,
+    _from_packed,
     format_observable,
-    from_symplectic,
-    multiply,
     packed_product,
     parse_observable,
     product_of_set,
@@ -72,26 +70,31 @@ class Context:
 
 
 def validate_context(ctx: Context) -> None:
-    """Raise ContextError unless the context is structurally valid."""
-    if not ctx.observables:
+    """Raise ContextError unless the context is structurally valid.
+
+    The checks run on packed values; words are formatted only for the
+    error message.
+    """
+    observables = ctx.observables
+    if not observables:
         raise ContextError("context has no observables")
-    n = ctx.observables[0].n
-    for obs in ctx.observables:
+    n = observables[0].n
+    for obs in observables:
         if obs.n != n:
             raise ContextError(
                 f"context mixes qubit counts ({n} and {obs.n})"
             )
-    for i, a in enumerate(ctx.observables):
-        for b in ctx.observables[i + 1 :]:
-            if not commutes(a, b):
+    values = [obs.value for obs in observables]
+    for i, u in enumerate(values):
+        for j in range(i + 1, len(values)):
+            if packed_form(n, u, values[j]):
                 raise ContextError(
-                    f"observables {format_observable(a)} and "
-                    f"{format_observable(b)} do not commute"
+                    f"observables {format_observable(observables[i])} and "
+                    f"{format_observable(observables[j])} do not commute"
                 )
-    prod = product_of_set(ctx.observables)
-    if not prod.is_identity:
+    if packed_product(n, values)[1]:
         raise ContextError(
-            f"context product is {format_observable(prod)}, "
+            f"context product is {format_observable(product_of_set(observables))}, "
             "not proportional to the identity"
         )
 
@@ -298,14 +301,59 @@ def shared_point(config: MagicConfiguration) -> SymplecticPoint:
     return SymplecticPoint.from_value(config.n, common.rows[0])
 
 
+# A context as (packed value, sign) members; the search keeps results in
+# this form until one is built as a MagicConfiguration.
+PackedContext = Tuple[Tuple[int, int], ...]
+
+
+def packed_contexts(config: MagicConfiguration) -> Tuple[PackedContext, ...]:
+    """The contexts as tuples of (packed value, sign), in the given order."""
+    return tuple(
+        tuple((obs.value, obs.sign) for obs in ctx.observables)
+        for ctx in config.contexts
+    )
+
+
+def config_from_packed(n: int, contexts: Iterable[PackedContext]) -> MagicConfiguration:
+    """Build (and so validate) a configuration from (packed value, sign) contexts."""
+    return MagicConfiguration(
+        tuple(
+            Context(tuple(_from_packed(n, value, sign) for value, sign in ctx))
+            for ctx in contexts
+        )
+    )
+
+
+def twin_contexts(n: int, anchor: int, contexts: Iterable[PackedContext]) -> Tuple[PackedContext, ...]:
+    """The twin map on packed contexts: the one implementation of the twin.
+
+    Every member other than the anchor itself is multiplied on the left
+    by the anchor's positive observable P, so (v, s) becomes
+    (anchor ^ v, s * sign of P * v); members equal to the anchor stay
+    fixed.  Raises ContextError when P squares to -identity.
+    """
+    if packed_product(n, (anchor, anchor))[0] != 1:
+        raise ContextError(
+            f"anchor {format_observable(_from_packed(n, anchor, 1))} "
+            "squares to -identity"
+        )
+    return tuple(
+        tuple(
+            (value, sign)
+            if value == anchor
+            else (anchor ^ value, sign * packed_product(n, (anchor, value))[0])
+            for value, sign in ctx
+        )
+        for ctx in contexts
+    )
+
+
 def complement_config(
     config: MagicConfiguration, point: SymplecticPoint
 ) -> MagicConfiguration:
-    """The twin configuration through an anchor point.
+    """The twin configuration through an anchor point (see :func:`twin_contexts`).
 
-    Every observable other than the anchor itself is multiplied on the
-    left by the anchor's positive observable P; occurrences of the
-    anchor are kept fixed.  When P squares to +identity the map is an
+    When the anchor's observable squares to +identity the map is an
     involution.  The result is validated on construction, so an anchor
     that breaks commutation somewhere raises ContextError.
     """
@@ -313,18 +361,5 @@ def complement_config(
         raise ContextError(
             f"anchor lives in n={point.n} but configuration has n={config.n}"
         )
-    anchor = from_symplectic(point)
-    if multiply(anchor, anchor).sign != 1:
-        raise ContextError(
-            f"anchor {format_observable(anchor)} squares to -identity"
-        )
-    new_contexts = []
-    for ctx in config.contexts:
-        members = []
-        for obs in ctx.observables:
-            if not obs.is_identity and to_symplectic(obs) == point:
-                members.append(obs)
-            else:
-                members.append(multiply(anchor, obs))
-        new_contexts.append(Context(tuple(members)))
-    return MagicConfiguration(tuple(new_contexts))
+    twin = twin_contexts(point.n, point.value, packed_contexts(config))
+    return config_from_packed(point.n, twin)

@@ -16,10 +16,15 @@ Three searches are offered, selected by SearchOptions.shape:
 Rectangle search walks 4-cliques of maximal totally isotropic subspaces
 through the anchor (pairwise meeting in lines) on packed integers, with
 per-pair compatibility bitmasks pruning the cap choices and shared-point
-distinctness pruning the surviving branches.  Results are emitted in
-(configuration, twin) pairs so that truncation by ``limit`` never
-separates a configuration from its complement; an odd limit simply
-stops one pair earlier.
+distinctness pruning the surviving branches.  The anchored caps of each
+subspace are mapped from one table of the caps of PG(3, 2), and the
+compatibility masks come from bucketing caps by the point of the meet
+line they hold.  Results stay packed, as contexts of (value, sign)
+pairs, through the twin map, canonical ordering and dedup; a
+MagicConfiguration is built only for a result that enters the list.
+They are emitted in (configuration, twin) pairs so that truncation by
+``limit`` never separates a configuration from its complement; an odd
+limit simply stops one pair earlier.
 """
 
 from __future__ import annotations
@@ -45,10 +50,11 @@ from .geometry import (
 from .magic import (
     Context,
     MagicConfiguration,
+    PackedContext,
     canonical_context_sign,
-    complement_config,
-    observable_key,
-    sorted_observables,
+    config_from_packed,
+    packed_contexts,
+    twin_contexts,
 )
 from .pauli import from_symplectic, packed_product
 
@@ -106,29 +112,30 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _context_from_values(n: int, values: Sequence[int]) -> Context:
-    return Context(
-        tuple(
-            from_symplectic(SymplecticPoint.from_value(n, v)) for v in sorted(values)
-        )
-    )
+def _canonical(contexts: Sequence[PackedContext]) -> Tuple[PackedContext, ...]:
+    """Canonical order on packed contexts, which is also the dedup key.
+
+    Members sort by :func:`observable_key` order, (value, -sign), and
+    contexts by their lists of member keys.
+    """
+    keyed = sorted(tuple(sorted((v, -s) for v, s in ctx)) for ctx in contexts)
+    return tuple(tuple((v, -k) for v, k in ctx) for ctx in keyed)
 
 
 def canonical_config(config: MagicConfiguration) -> MagicConfiguration:
     """Sort members within contexts and contexts within the configuration."""
-    ctxs = [Context(sorted_observables(ctx)) for ctx in config.contexts]
-    ctxs.sort(key=lambda ctx: [observable_key(o) for o in ctx.observables])
-    return MagicConfiguration(tuple(ctxs))
-
-
-def _config_key(config: MagicConfiguration) -> tuple:
-    return tuple(ctx.words for ctx in config.contexts)
+    return config_from_packed(config.n, _canonical(packed_contexts(config)))
 
 
 class _Emitter:
-    """Collects results up to a limit with optional canonical dedup."""
+    """Collects results up to a limit with optional canonical dedup.
 
-    def __init__(self, limit: int, dedup: bool):
+    Groups arrive as packed contexts; a MagicConfiguration (validated on
+    construction) is built only for a result that enters the list.
+    """
+
+    def __init__(self, n: int, limit: int, dedup: bool):
+        self.n = n
         self.limit = limit
         self.dedup = dedup
         self.results: List[MagicConfiguration] = []
@@ -138,32 +145,31 @@ class _Emitter:
     def full(self) -> bool:
         return len(self.results) >= self.limit
 
-    def offer(self, configs: Sequence[MagicConfiguration]) -> bool:
+    def offer(self, group: Sequence[Sequence[PackedContext]]) -> bool:
         """Emit a group atomically; returns False when the walk should stop.
 
-        Without dedup the group is emitted member by member and may be
-        cut by the limit; with dedup the whole group must fit, keeping
-        twin pairs intact.
+        Without dedup the group is emitted member by member, in the order
+        given, and may be cut by the limit; with dedup the whole group
+        must fit, keeping twin pairs intact.
         """
         if not self.dedup:
-            for cfg in configs:
+            for contexts in group:
                 if self.full:
                     return False
-                self.results.append(cfg)
+                self.results.append(config_from_packed(self.n, contexts))
             return not self.full
         fresh = []
-        for cfg in configs:
-            canon = canonical_config(cfg)
-            key = _config_key(canon)
-            if key not in self._seen and all(k != key for k, _ in fresh):
-                fresh.append((key, canon))
+        for contexts in group:
+            key = _canonical(contexts)
+            if key not in self._seen and key not in fresh:
+                fresh.append(key)
         if not fresh:
             return True
         if len(self.results) + len(fresh) > self.limit:
             return False
-        for key, canon in fresh:
+        for key in fresh:
             self._seen.add(key)
-            self.results.append(canon)
+            self.results.append(config_from_packed(self.n, key))
         return not self.full
 
 
@@ -188,6 +194,21 @@ def enumerate_caps(subspace: Subspace) -> List[Tuple[SymplecticPoint, ...]]:
     points = enumerate_points(subspace)
     rows = _kernels.cap_subsets(_third_table(points), -1)
     return [tuple(points[i] for i in row) for row in rows]
+
+
+@functools.lru_cache(maxsize=None)
+def _anchored_cap_patterns() -> Tuple[Tuple[int, ...], ...]:
+    """The 56 caps of PG(3, 2) through the coordinate point e1 = 0b0001.
+
+    Points of GF(2)^4 are the values 1..15 (index i holds i + 1).  A
+    rank-4 subspace with a basis whose first vector is the anchor maps
+    these patterns onto its anchored caps, since a linear bijection
+    keeps collinear triples and coplanar quadruples.
+    """
+    third = [[(i ^ j) - 1 for j in range(1, 16)] for i in range(1, 16)]
+    return tuple(
+        tuple(i + 1 for i in row) for row in _kernels.cap_subsets(third, 0)
+    )
 
 
 @functools.lru_cache(maxsize=8)
@@ -286,7 +307,7 @@ def find_mermin_squares(options: SearchOptions) -> List[MagicConfiguration]:
         if len(union) == 9:
             partitions.setdefault(frozenset(union), []).append(triple)
 
-    emitter = _Emitter(options.limit, options.dedup)
+    emitter = _Emitter(n, options.limit, options.dedup)
     for nineset in sorted(partitions, key=lambda s: sorted(s)):
         parts = partitions[nineset]
         if len(parts) < 2:
@@ -297,13 +318,12 @@ def find_mermin_squares(options: SearchOptions) -> List[MagicConfiguration]:
         if options.anchor_point is not None and options.anchor_point not in pts:
             continue
         for rows, cols in itertools.combinations(parts, 2):
-            contexts = [_context_from_values(n, line) for line in rows + cols]
-            config = MagicConfiguration(tuple(contexts))
-            signs = [canonical_context_sign(ctx) for ctx in config.contexts]
-            negatives = sum(1 for s in signs if s < 0)
+            lines = rows + cols
+            negatives = sum(packed_product(n, line)[0] < 0 for line in lines)
             if negatives % 2 == 0:
                 continue
-            if not emitter.offer([config]):
+            contexts = tuple(tuple((v, 1) for v in line) for line in lines)
+            if not emitter.offer([contexts]):
                 return emitter.results
     return emitter.results
 
@@ -321,77 +341,135 @@ def _negative_affine(n: int, values: Sequence[int]) -> bool:
 
 
 class _RectangleWalk:
-    """State of the clique walk: caches for caps, pair ranks, compat masks."""
+    """State of the clique walk on packed values: coordinates, caps, compat masks.
+
+    Each Lagrangian's anchored caps are the images of one table, the 56
+    caps of PG(3, 2) through e1, under a basis whose first vector is the
+    anchor.  Two Lagrangians meeting in a line share the anchor and two
+    further points p and anchor ^ p, and a cap holds at most one of those
+    (it has no collinear triple); caps of the two meet in exactly one
+    further point iff they hold the same one, so compatibility masks come
+    from bucketing one side's caps by that point.
+    """
 
     def __init__(self, anchor: SymplecticPoint):
-        self.anchor = anchor
+        self.anchor = anchor.value
         self.n = anchor.n
         self.lagrangians = maximal_isotropic_through(anchor)
+        self._images = [self._coordinates(sub.rows) for sub in self.lagrangians]
+        self._point_masks = [sum(1 << v for v in image[1:]) for image in self._images]
         self._caps: Dict[int, List[Tuple[int, ...]]] = {}
         self._cap_masks: Dict[int, List[int]] = {}
-        self._pair_ok: Dict[Tuple[int, int], bool] = {}
-        self._compat: Dict[Tuple[int, int], Tuple[List[int], List[Dict[int, int]]]] = {}
+        self._compat: Dict[Tuple[int, int], Tuple[List[int], List[int]]] = {}
+
+    def _coordinates(self, rows: Tuple[int, ...]) -> List[int]:
+        """image[c] is the point with coordinates c (1..15) in a basis of
+        the Lagrangian whose first vector is the anchor; image[0] = 0."""
+        basis = list(rows)
+        # The anchor is the sum of the RREF rows whose pivot bit it has;
+        # trading the first of those for it keeps a basis.
+        for k, row in enumerate(basis):
+            if self.anchor >> (row.bit_length() - 1) & 1:
+                del basis[k]
+                break
+        basis.insert(0, self.anchor)
+        image = [0] * 16
+        for c in range(1, 16):
+            image[c] = image[c & (c - 1)] ^ basis[(c & -c).bit_length() - 1]
+        return image
 
     def caps(self, i: int) -> List[Tuple[int, ...]]:
-        """Anchored caps of Lagrangian i with canonical sign +1."""
+        """Anchored caps of Lagrangian i with canonical sign +1, as sorted
+        value tuples in lexicographic order."""
         if i not in self._caps:
-            sub = self.lagrangians[i]
-            points = enumerate_points(sub)
-            anchor_index = points.index(self.anchor)
-            rows = _kernels.cap_subsets(_third_table(points), anchor_index)
+            image = self._images[i]
             good = []
-            for row in rows:
-                vals = tuple(points[j].value for j in row)
+            for pattern in _anchored_cap_patterns():
+                vals = tuple(sorted(image[c] for c in pattern))
                 if packed_product(self.n, vals) == (1, 0):
                     good.append(vals)
+            good.sort()
             self._caps[i] = good
             self._cap_masks[i] = [sum(1 << v for v in cap) for cap in good]
         return self._caps[i]
 
     def pair_ok(self, i: int, j: int) -> bool:
-        """Spans must meet in a line: rank A + rank B - rank(A + B) == 2."""
-        key = (i, j)
-        if key not in self._pair_ok:
-            a, b = self.lagrangians[i].rows, self.lagrangians[j].rows
-            self._pair_ok[key] = len(a) + len(b) - len(_rref(a + b, 2 * self.n)) == 2
-        return self._pair_ok[key]
+        """Spans must meet in a line: exactly three common points."""
+        return (self._point_masks[i] & self._point_masks[j]).bit_count() == 3
 
-    def compat(self, i: int, j: int) -> Tuple[List[int], List[Dict[int, int]]]:
-        """Pair compatibility between the cap lists of two Lagrangians.
+    def compat(self, i: int, j: int) -> Tuple[List[int], List[int]]:
+        """Pair compatibility between the cap lists of two Lagrangians
+        that meet in a line (see :meth:`pair_ok`).
 
         Returns (masks, shared): masks[a] is a bitmask over caps(j) of
         the caps sharing exactly the anchor plus one further point with
-        cap a of caps(i); shared[a][b] is that further point's value.
+        cap a of caps(i), and shared[a] is that further point: the point
+        of the meet line cap a holds (-1 when it holds none).
         """
         key = (i, j)
         if key not in self._compat:
             self.caps(i)
             self.caps(j)
-            anchor_bit = 1 << self.anchor.value
+            meet = (self._point_masks[i] & self._point_masks[j]) ^ (1 << self.anchor)
+            buckets: Dict[int, int] = {}
+            for b, cap in enumerate(self._cap_masks[j]):
+                held = cap & meet
+                if held:
+                    buckets[held] = buckets.get(held, 0) | 1 << b
             masks: List[int] = []
-            shared: List[Dict[int, int]] = []
-            for cap_a in self._cap_masks[i]:
-                mask = 0
-                values: Dict[int, int] = {}
-                for b, cap_b in enumerate(self._cap_masks[j]):
-                    meet = cap_a & cap_b
-                    if meet.bit_count() == 2:
-                        mask |= 1 << b
-                        values[b] = (meet ^ anchor_bit).bit_length() - 1
-                masks.append(mask)
-                shared.append(values)
+            shared: List[int] = []
+            for cap in self._cap_masks[i]:
+                held = cap & meet
+                masks.append(buckets.get(held, 0))
+                shared.append(held.bit_length() - 1)
             self._compat[key] = (masks, shared)
         return self._compat[key]
 
-    def complete(
-        self, quads: Tuple[Tuple[int, ...], ...], odd: List[int]
-    ) -> Optional[MagicConfiguration]:
-        """Build the configuration when the odd points close up affinely."""
-        if not _negative_affine(self.n, odd):
-            return None
-        contexts = [_context_from_values(self.n, cap) for cap in quads]
-        contexts.append(_context_from_values(self.n, sorted(odd)))
-        return MagicConfiguration(tuple(contexts))
+    def rectangles(self, a: int, b: int, c: int, d: int) -> Iterator[Tuple[PackedContext, ...]]:
+        """Packed contexts of every rectangle on the 4-clique a < b < c < d.
+
+        The further point two caps share depends on either cap alone (see
+        :meth:`compat`), so each test that two of the six shared points
+        differ runs in the outermost loop fixing both.  A shared point
+        occurring twice would sit in three caps, breaking even
+        multiplicity.  Once they differ, the points of odd multiplicity
+        are the XOR of the four cap masks.
+        """
+        caps_a, caps_b, caps_c, caps_d = (self.caps(i) for i in (a, b, c, d))
+        masks_a, masks_b, masks_c, masks_d = (self._cap_masks[i] for i in (a, b, c, d))
+        ab_mask, ab_val = self.compat(a, b)
+        ac_mask, ac_val = self.compat(a, c)
+        ad_mask, ad_val = self.compat(a, d)
+        bc_mask, bc_val = self.compat(b, c)
+        bd_mask, bd_val = self.compat(b, d)
+        cd_mask, cd_val = self.compat(c, d)
+        for ia in range(len(caps_a)):
+            if not (ab_mask[ia] and ac_mask[ia] and ad_mask[ia]):
+                continue
+            s_ab, s_ac, s_ad = ab_val[ia], ac_val[ia], ad_val[ia]
+            if s_ac == s_ab or s_ad == s_ab or s_ad == s_ac:
+                continue
+            for ib in _bits(ab_mask[ia]):
+                s_bc, s_bd = bc_val[ib], bd_val[ib]
+                if s_bc == s_ab or s_bd == s_ab or s_bd == s_bc:
+                    continue
+                mask_c = ac_mask[ia] & bc_mask[ib]
+                if not mask_c:
+                    continue
+                mask_d0 = ad_mask[ia] & bd_mask[ib]
+                if not mask_d0:
+                    continue
+                odd_ab = masks_a[ia] ^ masks_b[ib]
+                for ic in _bits(mask_c):
+                    s_cd = cd_val[ic]
+                    if s_cd == s_ac or s_cd == s_bc:
+                        continue
+                    odd_abc = odd_ab ^ masks_c[ic]
+                    for id_ in _bits(mask_d0 & cd_mask[ic]):
+                        odd = tuple(_bits(odd_abc ^ masks_d[id_]))
+                        quads = (caps_a[ia], caps_b[ib], caps_c[ic], caps_d[id_])
+                        if _negative_affine(self.n, odd):
+                            yield tuple(tuple((v, 1) for v in ctx) for ctx in (*quads, odd))
 
 
 def _is_rectangle(config: MagicConfiguration, anchor: SymplecticPoint) -> bool:
@@ -457,21 +535,21 @@ def find_magic_rectangles(options: SearchOptions) -> List[MagicConfiguration]:
     anchor = options.anchor_point
     if anchor is None:
         anchor = SymplecticPoint.from_value(4, _ANCHOR_DEFAULT_WORD_N4)
-    emitter = _Emitter(options.limit, options.dedup)
+    n = anchor.n
+    emitter = _Emitter(n, options.limit, options.dedup)
     walk = _RectangleWalk(anchor)
 
-    def emit(config: MagicConfiguration) -> bool:
+    def emit(contexts: Tuple[PackedContext, ...]) -> bool:
         if options.dedup:
-            return emitter.offer([config, complement_config(config, anchor)])
-        return emitter.offer([config])
+            return emitter.offer([contexts, twin_contexts(n, anchor.value, contexts)])
+        return emitter.offer([contexts])
 
     if options.seed is not None:
         if not _is_rectangle(options.seed, anchor):
             raise ValueError("seed configuration does not have the rectangle shape")
-        if not emit(options.seed):
+        if not emit(packed_contexts(options.seed)):
             return emitter.results
 
-    anchor_value = anchor.value
     count = len(walk.lagrangians)
     for a in range(count):
         if not walk.caps(a):
@@ -493,71 +571,11 @@ def find_magic_rectangles(options: SearchOptions) -> List[MagicConfiguration]:
                         continue
                     if not walk.caps(d):
                         continue
-                    caps_a = walk.caps(a)
-                    caps_b = walk.caps(b)
-                    caps_c = walk.caps(c)
-                    caps_d = walk.caps(d)
-                    ab_mask, ab_val = walk.compat(a, b)
-                    ac_mask, ac_val = walk.compat(a, c)
-                    ad_mask, ad_val = walk.compat(a, d)
-                    bc_mask, bc_val = walk.compat(b, c)
-                    bd_mask, bd_val = walk.compat(b, d)
-                    cd_mask, cd_val = walk.compat(c, d)
-                    for ia in range(len(caps_a)):
-                        if not (ab_mask[ia] and ac_mask[ia] and ad_mask[ia]):
-                            continue
-                        for ib in _bits(ab_mask[ia]):
-                            s_ab = ab_val[ia][ib]
-                            mask_c = ac_mask[ia] & bc_mask[ib]
-                            if not mask_c:
-                                continue
-                            mask_d0 = ad_mask[ia] & bd_mask[ib]
-                            if not mask_d0:
-                                continue
-                            for ic in _bits(mask_c):
-                                s_ac = ac_val[ia][ic]
-                                s_bc = bc_val[ib][ic]
-                                # A shared point occurring twice would sit in
-                                # three caps, breaking even multiplicity.
-                                if s_ac == s_ab or s_bc == s_ab:
-                                    continue
-                                mask_d = mask_d0 & cd_mask[ic]
-                                for id_ in _bits(mask_d):
-                                    s_ad = ad_val[ia][id_]
-                                    if s_ad == s_ab or s_ad == s_ac:
-                                        continue
-                                    s_bd = bd_val[ib][id_]
-                                    if s_bd == s_ab or s_bd == s_bc:
-                                        continue
-                                    s_cd = cd_val[ic][id_]
-                                    if s_cd == s_ac or s_cd == s_bc:
-                                        continue
-                                    quads = (
-                                        caps_a[ia],
-                                        caps_b[ib],
-                                        caps_c[ic],
-                                        caps_d[id_],
-                                    )
-                                    taken = (
-                                        anchor_value,
-                                        s_ab,
-                                        s_ac,
-                                        s_ad,
-                                        s_bc,
-                                        s_bd,
-                                        s_cd,
-                                    )
-                                    odd = []
-                                    for cap in quads:
-                                        for v in cap:
-                                            if v not in taken:
-                                                odd.append(v)
-                                    if len(odd) != 4:
-                                        continue
-                                    config = walk.complete(quads, odd)
-                                    if config is not None and not emit(config):
-                                        return emitter.results
+                    for contexts in walk.rectangles(a, b, c, d):
+                        if not emit(contexts):
+                            return emitter.results
     return emitter.results
+
 
 
 # Alias matching the CLI shape token.

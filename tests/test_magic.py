@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bksgeom.classify import KIND_LINE, projective_closure
 from bksgeom.cli import main
@@ -21,7 +23,15 @@ from bksgeom.magic import (
     sorted_observables,
     validate_context,
 )
-from bksgeom.pauli import parse_observable, point_word, to_symplectic
+from bksgeom.pauli import (
+    PauliObservable,
+    commutes,
+    format_observable,
+    parse_observable,
+    point_word,
+    product_of_set,
+    to_symplectic,
+)
 from bksgeom.rectangle import (
     CONTEXT_WORDS,
     TWIN_CONTEXT_WORDS,
@@ -29,6 +39,7 @@ from bksgeom.rectangle import (
     magic_rectangle,
     twin_rectangle,
 )
+from bksgeom.search import maximal_isotropic_through
 
 
 def pt(word: str) -> SymplecticPoint:
@@ -76,6 +87,76 @@ def test_validate_rejects_mixed_sizes():
     ctx = Context.from_words(("XI", "X"))
     with pytest.raises(ContextError, match="mixes qubit counts"):
         validate_context(ctx)
+
+
+def _reference_validate(ctx: Context) -> None:
+    """validate_context on observables: commutes and product_of_set."""
+    if not ctx.observables:
+        raise ContextError("context has no observables")
+    n = ctx.observables[0].n
+    for obs in ctx.observables:
+        if obs.n != n:
+            raise ContextError(f"context mixes qubit counts ({n} and {obs.n})")
+    for i, a in enumerate(ctx.observables):
+        for b in ctx.observables[i + 1 :]:
+            if not commutes(a, b):
+                raise ContextError(
+                    f"observables {format_observable(a)} and "
+                    f"{format_observable(b)} do not commute"
+                )
+    prod = product_of_set(ctx.observables)
+    if not prod.is_identity:
+        raise ContextError(
+            f"context product is {format_observable(prod)}, "
+            "not proportional to the identity"
+        )
+
+
+def _outcome(check, ctx: Context):
+    try:
+        check(ctx)
+    except Exception as exc:  # the type and text are compared
+        return type(exc).__name__, str(exc)
+    return None
+
+
+@st.composite
+def _observable(draw, n: int) -> PauliObservable:
+    value = draw(st.integers(0, (1 << 2 * n) - 1))
+    return PauliObservable(n, value >> n, value & ((1 << n) - 1), draw(st.sampled_from((1, -1))))
+
+
+@st.composite
+def _context(draw) -> Context:
+    """Signed members with identities; mostly one qubit count, some mixed.
+    Half the draws pick members from one Lagrangian and close them with
+    their product, so that valid contexts occur at every n."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        members = draw(st.lists(_observable(n), max_size=6))
+    else:
+        anchor = SymplecticPoint.from_value(n, draw(st.integers(1, (1 << 2 * n) - 1)))
+        subs = maximal_isotropic_through(anchor)
+        points = enumerate_points(draw(st.sampled_from(subs)))
+        picks = draw(st.lists(st.sampled_from(points), min_size=1, max_size=5))
+        closing = 0
+        for p in picks:
+            closing ^= p.value
+        values = [p.value for p in picks] + [closing]
+        members = [
+            PauliObservable(n, v >> n, v & ((1 << n) - 1), draw(st.sampled_from((1, -1))))
+            for v in values
+        ]
+    if members and draw(st.integers(0, 4)) == 0:
+        other = draw(st.integers(1, 4))
+        members.insert(draw(st.integers(0, len(members))), draw(_observable(other)))
+    return Context(tuple(members))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_context())
+def test_validate_context_matches_the_object_level_reference(ctx):
+    assert _outcome(validate_context, ctx) == _outcome(_reference_validate, ctx)
 
 
 def test_negative_identity_context_is_valid():

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from bksgeom import _kernels
 from bksgeom.classify import (
     KIND_AFFINE_PLANE,
     KIND_ELLIPTIC_QUADRIC,
@@ -21,17 +22,23 @@ from bksgeom.geometry import (
     subspace_sum,
 )
 from bksgeom.magic import (
+    Context,
     MagicConfiguration,
     canonical_context_sign,
     complement_config,
+    observable_key,
+    packed_contexts,
     parity_witness,
     shared_point,
+    sorted_observables,
+    twin_contexts,
 )
-from bksgeom.pauli import parse_observable, to_symplectic
+from bksgeom.pauli import multiply, packed_product, parse_observable, to_symplectic
 from bksgeom.rectangle import anchor_point, magic_rectangle, twin_rectangle
 from bksgeom.search import (
     SearchOptions,
     _RectangleWalk,
+    _third_table,
     canonical_config,
     cap_census,
     enumerate_caps,
@@ -215,6 +222,55 @@ def test_pair_meet_rank_by_dimension_formula():
         assert walk.pair_ok(i, j) == (meet == 2)
 
 
+def _reference_anchored_caps(sub, anchor: int) -> list:
+    """Reference for the cap table: enumerate the subspace's points, run
+    the cap kernel with the anchor fixed, keep canonical sign +1."""
+    points = enumerate_points(sub)
+    anchor_index = [p.value for p in points].index(anchor)
+    good = []
+    for row in _kernels.cap_subsets(_third_table(points), anchor_index):
+        vals = tuple(points[j].value for j in row)
+        if packed_product(sub.n, vals) == (1, 0):
+            good.append(vals)
+    return good
+
+
+@pytest.mark.parametrize("word", ["IXII", "YYYY", "XIIZ"])
+def test_cap_table_matches_the_per_lagrangian_kernel(word):
+    walk = _RectangleWalk(pt(word))
+    assert len(walk.lagrangians) == 135
+    for i, sub in enumerate(walk.lagrangians):
+        assert walk.caps(i) == _reference_anchored_caps(sub, pt(word).value)
+
+
+@pytest.mark.parametrize("word", ["IXII", "YYYY"])
+def test_compat_buckets_match_the_popcount_definition(word):
+    anchor = pt(word).value
+    walk = _RectangleWalk(pt(word))
+    cap_masks = [
+        [sum(1 << v for v in cap) for cap in walk.caps(i)]
+        for i in range(len(walk.lagrangians))
+    ]
+    pairs = 0
+    for i, j in itertools.combinations(range(len(walk.lagrangians)), 2):
+        if not walk.pair_ok(i, j):
+            continue
+        pairs += 1
+        masks, shared = walk.compat(i, j)
+        assert len(masks) == len(shared) == len(cap_masks[i])
+        for a, cap_a in enumerate(cap_masks[i]):
+            mask, extra = 0, set()
+            for b, cap_b in enumerate(cap_masks[j]):
+                meet = cap_a & cap_b
+                if meet.bit_count() == 2:
+                    mask |= 1 << b
+                    extra.add((meet ^ 1 << anchor).bit_length() - 1)
+            assert masks[a] == mask
+            if mask:
+                assert extra == {shared[a]}
+    assert pairs == 3780
+
+
 def test_lagrangians_two_qubits():
     subs = maximal_isotropic_through(pt("XI"))
     assert len(subs) == 3
@@ -325,6 +381,23 @@ def verify_rectangle(config: MagicConfiguration, anchor: SymplecticPoint) -> Non
     assert cert.nchv_assignment_exists is False
 
 
+def test_canonical_config_matches_the_object_level_order():
+    """Members by observable_key, then contexts by their key lists, as
+    sorted on observables; a word with both signs decides the context
+    order in the first configuration."""
+    configs = [
+        MagicConfiguration.from_words([("XX", "-XX"), ("-XX", "-XX"), ("-II",)]),
+        MagicConfiguration.from_words([("-ZI", "IZ", "-ZZ"), ("ZZ", "-ZZ"), ("ZI", "-IZ", "-ZZ")]),
+    ]
+    raw = find_magic_rectangles(rect_options(anchor_point=pt("YYYY"), limit=20, dedup=False))
+    configs += raw + [complement_config(config, pt("YYYY")) for config in raw]
+    configs += [magic_rectangle(), twin_rectangle()]
+    for config in configs:
+        contexts = [Context(sorted_observables(ctx)) for ctx in config.contexts]
+        contexts.sort(key=lambda ctx: [observable_key(o) for o in ctx.observables])
+        assert canonical_config(config) == MagicConfiguration(tuple(contexts))
+
+
 def test_seeded_search_finds_original_and_twin():
     results = find_magic_rectangles(
         rect_options(seed=magic_rectangle(), anchor_point=anchor_point())
@@ -428,12 +501,56 @@ RECTANGLE_DIGESTS = {
 }
 
 
+def _result_digest(results) -> str:
+    text = "\n".join(
+        " ".join(",".join(ctx.words) for ctx in config.contexts) for config in results
+    )
+    return hashlib.sha256(text.encode()).hexdigest()[:20]
+
+
 @pytest.mark.parametrize("anchor, limit", sorted(RECTANGLE_DIGESTS))
 def test_rectangle_results_match_recorded_digest(anchor, limit):
     results = find_magic_rectangles(rect_options(anchor_point=pt(anchor), limit=limit))
     assert len(results) == limit
-    text = "\n".join(
-        " ".join(",".join(ctx.words) for ctx in config.contexts) for config in results
-    )
-    digest = hashlib.sha256(text.encode()).hexdigest()[:20]
-    assert digest == RECTANGLE_DIGESTS[anchor, limit]
+    assert _result_digest(results) == RECTANGLE_DIGESTS[anchor, limit]
+
+
+# Digests recorded before emission, the cap step and the compatibility
+# masks moved to packed integers: a warm call at an anchor whose results
+# carry sign variants, the raw (undeduplicated) stream, and a seeded run.
+EMISSION_DIGESTS = {
+    "YYYY limit 1000": ("4a819d3977fe8e54a405", dict(anchor_point=pt("YYYY"), limit=1000)),
+    "IXII raw limit 100": ("b40ff301867b035448ec", dict(anchor_point=pt("IXII"), limit=100, dedup=False)),
+    "seeded limit 10": ("0cc9d34e399f153727e5", dict(seed=magic_rectangle(), limit=10)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMISSION_DIGESTS))
+def test_emission_matches_recorded_digest(name):
+    digest, kw = EMISSION_DIGESTS[name]
+    results = find_magic_rectangles(rect_options(**kw))
+    assert len(results) == kw["limit"]
+    assert _result_digest(results) == digest
+
+
+@pytest.mark.parametrize("word", ["IXII", "XIIZ", "YYYY"])
+def test_packed_twin_matches_complement_config(word):
+    """The packed twin against the object-level map (every member but the
+    anchor multiplied on the left by the anchor's positive observable)
+    and against complement_config, on 50 raw walk results."""
+    point = pt(word)
+    results = find_magic_rectangles(rect_options(anchor_point=point, limit=50, dedup=False))
+    assert len(results) == 50
+    p_obs = parse_observable(word)
+    for config in results:
+        twin = twin_contexts(4, point.value, packed_contexts(config))
+        reference = tuple(
+            tuple(
+                (obs.value, obs.sign) if obs.value == point.value else
+                (multiply(p_obs, obs).value, multiply(p_obs, obs).sign)
+                for obs in ctx.observables
+            )
+            for ctx in config.contexts
+        )
+        assert twin == reference
+        assert twin == packed_contexts(complement_config(config, point))
