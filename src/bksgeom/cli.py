@@ -31,17 +31,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .classify import classify_set
-from .geometry import SymplecticPoint, enumerate_points, is_totally_isotropic
+from .geometry import SymplecticPoint, enumerate_points, is_totally_isotropic, span
 from .magic import (
     Context,
     ContextError,
     MagicConfiguration,
     complement_config,
-    context_sign,
     intersection_lines,
     parity_witness,
     shared_point,
@@ -141,18 +141,17 @@ def emit_config_text(
 
 
 def _context_entry(
-    ctx: Context, name: Optional[str], include_closure: bool
+    ctx: Context, canonical_sign: int, name: Optional[str], include_closure: bool
 ) -> Dict:
+    """One report entry; its sign is the kept canonical sign times the member signs."""
     pts = ctx.points()
     distinct = list(dict.fromkeys(pts))
     entry: Dict = {
         "name": name,
         "observables": [format_observable(o) for o in sorted_observables(ctx)],
-        "sign": context_sign(ctx),
+        "sign": math.prod((o.sign for o in ctx.observables), start=canonical_sign),
     }
     if distinct:
-        from .geometry import span
-
         sub = span(distinct)
         entry["rank"] = sub.rank
         entry["totally_isotropic"] = is_totally_isotropic(sub)
@@ -181,8 +180,8 @@ def build_report(
     """The full verification report and its exit code."""
     report: Dict = {"qubits": config.n}
     report["contexts"] = [
-        _context_entry(ctx, name, include_closure)
-        for ctx, name in zip(config.contexts, names)
+        _context_entry(ctx, sign, name, include_closure)
+        for ctx, sign, name in zip(config.contexts, config.canonical_signs, names)
     ]
     report["multiplicities"] = {
         point_word(p): config.multiplicities[p]
@@ -313,8 +312,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     config, names = read_config_file(args.file)
     entries = [
-        _context_entry(ctx, name, include_closure=True)
-        for ctx, name in zip(config.contexts, names)
+        _context_entry(ctx, sign, name, include_closure=True)
+        for ctx, sign, name in zip(config.contexts, config.canonical_signs, names)
     ]
     counts: Dict[str, int] = {}
     for entry in entries:
@@ -523,9 +522,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # the exit-2 handler below: a file that is not UTF-8 is an I/O error.
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ContextError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

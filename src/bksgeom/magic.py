@@ -19,7 +19,8 @@ all-positive words the two notions coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -69,8 +70,9 @@ class Context:
         return tuple(to_symplectic(o) for o in self.observables if not o.is_identity)
 
 
-def validate_context(ctx: Context) -> None:
-    """Raise ContextError unless the context is structurally valid.
+def validate_context(ctx: Context) -> int:
+    """Raise ContextError unless the context is structurally valid, else
+    return its canonical sign (see :func:`canonical_context_sign`).
 
     The checks run on packed values; words are formatted only for the
     error message.
@@ -92,17 +94,19 @@ def validate_context(ctx: Context) -> None:
                     f"observables {format_observable(observables[i])} and "
                     f"{format_observable(observables[j])} do not commute"
                 )
-    if packed_product(n, values)[1]:
+    sign, rest = packed_product(n, values)
+    if rest:
         raise ContextError(
             f"context product is {format_observable(product_of_set(observables))}, "
             "not proportional to the identity"
         )
+    return sign
 
 
 def context_sign(ctx: Context) -> int:
-    """The sign of the product of the context members (+1 or -1)."""
-    validate_context(ctx)
-    return product_of_set(ctx.observables).sign
+    """The sign of the product of the context members (+1 or -1): the
+    canonical sign times the member signs."""
+    return math.prod((o.sign for o in ctx.observables), start=validate_context(ctx))
 
 
 def canonical_context_sign(ctx: Context) -> int:
@@ -111,8 +115,7 @@ def canonical_context_sign(ctx: Context) -> int:
     This is the sign a noncontextual assignment of the underlying points
     is constrained against; member signs cancel out of the constraint.
     """
-    validate_context(ctx)
-    return packed_product(ctx.observables[0].n, [o.value for o in ctx.observables])[0]
+    return validate_context(ctx)
 
 
 def observable_key(obs: PauliObservable) -> tuple[int, int]:
@@ -129,18 +132,21 @@ def sorted_observables(ctx: Context) -> Tuple[PauliObservable, ...]:
 class MagicConfiguration:
     """A list of contexts over a common qubit count.
 
-    Every context is validated at construction, so an instance that
-    exists is structurally sound; the interesting question is whether it
-    admits a noncontextual assignment, answered by
-    :func:`parity_witness` and :func:`exhaustive_nchv_check`.
+    Every context is validated once, at construction, and the canonical
+    signs that validation returns are kept in ``canonical_signs`` (outside
+    equality and hashing).  An instance that exists is structurally sound;
+    the interesting question is whether it admits a noncontextual
+    assignment, answered by :func:`parity_witness` and
+    :func:`exhaustive_nchv_check`.
     """
 
     contexts: Tuple[Context, ...]
+    canonical_signs: Tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "contexts", tuple(self.contexts))
-        for ctx in self.contexts:
-            validate_context(ctx)
+        signs = tuple(validate_context(ctx) for ctx in self.contexts)
+        object.__setattr__(self, "canonical_signs", signs)
         counts = {ctx.observables[0].n for ctx in self.contexts}
         if len(counts) > 1:
             raise ContextError(f"contexts mix qubit counts {sorted(counts)}")
@@ -210,12 +216,12 @@ def _scan_tables(config: MagicConfiguration) -> tuple[list[int], list[int], int]
     index = {p.value: i for i, p in enumerate(universe)}
     masks: list[int] = []
     parities: list[int] = []
-    for ctx in config.contexts:
+    for ctx, sign in zip(config.contexts, config.canonical_signs):
         mask = 0
         for p in ctx.points():
             mask ^= 1 << index[p.value]
         masks.append(mask)
-        parities.append(1 if canonical_context_sign(ctx) == -1 else 0)
+        parities.append(1 if sign == -1 else 0)
     return masks, parities, len(universe)
 
 
@@ -247,9 +253,7 @@ def parity_witness(config: MagicConfiguration) -> ContradictionCertificate:
     certified certificate implies the oracle finds no assignment; the
     converse need not hold.
     """
-    sign_product = 1
-    for ctx in config.contexts:
-        sign_product *= canonical_context_sign(ctx)
+    sign_product = math.prod(config.canonical_signs)
     all_even = all(m % 2 == 0 for m in config.multiplicities.values())
     exists, assignment = exhaustive_nchv_check(config)
     witness: Optional[Tuple[Tuple[SymplecticPoint, int], ...]] = None

@@ -35,32 +35,28 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import _kernels
-from .classify import KIND_ELLIPTIC_QUADRIC, KIND_GRID, classify_set
+from .classify import KIND_GRID, classify_set
 from .geometry import (
     MAX_QUBITS,
     Subspace,
     SymplecticPoint,
     _rref,
     enumerate_points,
-    intersect,
     packed_form,
     reduce_row,
     span,
 )
 from .magic import (
-    Context,
     MagicConfiguration,
     PackedContext,
-    canonical_context_sign,
     config_from_packed,
     packed_contexts,
     twin_contexts,
 )
-from .pauli import from_symplectic, packed_product
+from .pauli import packed_product
+from .rectangle import anchor_point, magic_rectangle
 
 SHAPES = ("mermin_square", "hc_rectangle", "ovoid_census")
-
-_ANCHOR_DEFAULT_WORD_N4 = 64  # value of IXII at n=4
 
 
 @dataclass(frozen=True)
@@ -76,8 +72,10 @@ class SearchOptions:
         limit: maximum number of results to return (at least 1).
         dedup: canonicalise results and drop duplicates; rectangle twins
             are injected at emission only in this mode.
-        seed: a known configuration to verify and emit first, before
-            the systematic walk.
+        seed: a known rectangle to emit first, before the systematic
+            walk.  It must be one the walk itself would yield at the
+            anchor, up to member signs and the order of members and
+            contexts; anything else raises ValueError.
     """
 
     qubit_count: int
@@ -256,8 +254,6 @@ def cap_census(options: SearchOptions) -> List[Tuple[Subspace, List[Tuple[Symple
         unit = [SymplecticPoint.from_value(2, 1 << i) for i in range(4)]
         ambients = [span(unit)]
     elif n == 4:
-        from .rectangle import magic_rectangle
-
         spans = magic_rectangle().context_spans()
         ambients = [s for s in spans[:4] if s is not None]
     else:
@@ -471,51 +467,29 @@ class _RectangleWalk:
                         if _negative_affine(self.n, odd):
                             yield tuple(tuple((v, 1) for v in ctx) for ctx in (*quads, odd))
 
+    def holds(self, contexts: Sequence[PackedContext]) -> bool:
+        """Whether packed contexts are one of the rectangles the walk
+        yields, in any member and context order and with any member signs.
 
-def _is_rectangle(config: MagicConfiguration, anchor: SymplecticPoint) -> bool:
-    """Structural test of the anchored rectangle shape (any member order)."""
-    if len(config.contexts) != 5:
-        return False
-    quads = []
-    affine = None
-    for ctx in config.contexts:
-        pts = ctx.points()
-        if len(set(pts)) != len(ctx.observables):
+        The span of each five-member context must be one of the
+        Lagrangians, four distinct ones pairwise meeting in lines; the
+        sorted point sets must then equal those of a rectangle on them.
+        """
+        index = {sub.rows: i for i, sub in enumerate(self.lagrangians)}
+        clique = sorted(
+            index.get(_rref((v for v, _ in ctx), 2 * self.n), -1)
+            for ctx in contexts
+            if len(ctx) == 5
+        )
+        if len(clique) != 4 or len(set(clique)) != 4 or clique[0] < 0:
             return False
-        if len(pts) == 5:
-            quads.append(pts)
-        elif len(pts) == 4:
-            if affine is not None:
-                return False
-            affine = pts
-        else:
+        if not all(self.pair_ok(i, j) for i, j in itertools.combinations(clique, 2)):
             return False
-    if len(quads) != 4 or affine is None:
-        return False
-    for pts in quads:
-        if anchor not in pts:
-            return False
-        if classify_set(pts).kind != KIND_ELLIPTIC_QUADRIC:
-            return False
-        if canonical_context_sign(Context(tuple(from_symplectic(p) for p in pts))) != 1:
-            return False
-    spans = [span(pts) for pts in quads]
-    if len({s.rows for s in spans}) != 4:
-        return False
-    for a, b in itertools.combinations(range(4), 2):
-        shared = set(quads[a]) & set(quads[b])
-        if len(shared) != 2 or anchor not in shared:
-            return False
-        if intersect(spans[a], spans[b]).rank != 2:
-            return False
-    counts: Dict[SymplecticPoint, int] = {}
-    for pts in quads:
-        for p in pts:
-            counts[p] = counts.get(p, 0) + 1
-    odd = sorted((p for p, c in counts.items() if c % 2 == 1), key=lambda p: p.value)
-    if odd != sorted(affine, key=lambda p: p.value):
-        return False
-    return _negative_affine(anchor.n, [p.value for p in affine])
+        points = sorted(tuple(sorted(v for v, _ in ctx)) for ctx in contexts)
+        return any(
+            points == sorted(tuple(v for v, _ in ctx) for ctx in rectangle)
+            for rectangle in self.rectangles(*clique)
+        )
 
 
 def find_magic_rectangles(options: SearchOptions) -> List[MagicConfiguration]:
@@ -532,9 +506,7 @@ def find_magic_rectangles(options: SearchOptions) -> List[MagicConfiguration]:
         raise ValueError("find_magic_rectangles expects shape 'hc_rectangle'")
     if options.qubit_count != 4:
         raise ValueError("rectangle search is defined for 4 qubits")
-    anchor = options.anchor_point
-    if anchor is None:
-        anchor = SymplecticPoint.from_value(4, _ANCHOR_DEFAULT_WORD_N4)
+    anchor = options.anchor_point or anchor_point()
     n = anchor.n
     emitter = _Emitter(n, options.limit, options.dedup)
     walk = _RectangleWalk(anchor)
@@ -545,9 +517,10 @@ def find_magic_rectangles(options: SearchOptions) -> List[MagicConfiguration]:
         return emitter.offer([contexts])
 
     if options.seed is not None:
-        if not _is_rectangle(options.seed, anchor):
+        seed = packed_contexts(options.seed)
+        if options.seed.n != n or not walk.holds(seed):
             raise ValueError("seed configuration does not have the rectangle shape")
-        if not emit(packed_contexts(options.seed)):
+        if not emit(seed):
             return emitter.results
 
     count = len(walk.lagrangians)
@@ -575,7 +548,6 @@ def find_magic_rectangles(options: SearchOptions) -> List[MagicConfiguration]:
                         if not emit(contexts):
                             return emitter.results
     return emitter.results
-
 
 
 # Alias matching the CLI shape token.

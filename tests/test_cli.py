@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from bksgeom.cli import emit_config_text, main, parse_config_text, read_config_file
+import bksgeom.magic
+from bksgeom.cli import build_report, emit_config_text, main, parse_config_text, read_config_file
 from bksgeom.magic import Context, MagicConfiguration
 from bksgeom.pauli import ParseError
 from bksgeom.rectangle import CONTEXT_NAMES, CONTEXT_WORDS, TWIN_CONTEXT_WORDS, magic_rectangle
@@ -180,6 +181,21 @@ def test_verify_partial_prints_witness(partial_path, capsys):
     assert "consistent (satisfying assignment exists)" in out
     assert "witness:" in out
     assert "IXII -> +1" in out
+
+
+def test_report_validates_each_context_once(monkeypatch):
+    """The built-in rectangle and its twin are validated once per context:
+    5 calls to construct it and 5 for the twin that build_report makes."""
+    calls = []
+    validate = bksgeom.magic.validate_context
+
+    def counting(ctx):
+        calls.append(ctx)
+        return validate(ctx)
+
+    monkeypatch.setattr(bksgeom.magic, "validate_context", counting)
+    build_report(magic_rectangle(), CONTEXT_NAMES)
+    assert len(calls) == 10
 
 
 def test_verify_noncommuting_exits_2(tmp_path, capsys):

@@ -156,7 +156,11 @@ def _context(draw) -> Context:
 @settings(max_examples=400, deadline=None)
 @given(_context())
 def test_validate_context_matches_the_object_level_reference(ctx):
-    assert _outcome(validate_context, ctx) == _outcome(_reference_validate, ctx)
+    outcome = _outcome(validate_context, ctx)
+    assert outcome == _outcome(_reference_validate, ctx)
+    if outcome is None:
+        stripped = [PauliObservable(o.n, o.x, o.z) for o in ctx.observables]
+        assert validate_context(ctx) == product_of_set(stripped).sign
 
 
 def test_negative_identity_context_is_valid():

@@ -3,6 +3,9 @@
 import hashlib
 import itertools
 import math
+import random
+from collections import namedtuple
+from typing import Dict
 
 import pytest
 
@@ -23,9 +26,11 @@ from bksgeom.geometry import (
 )
 from bksgeom.magic import (
     Context,
+    ContextError,
     MagicConfiguration,
     canonical_context_sign,
     complement_config,
+    config_from_packed,
     observable_key,
     packed_contexts,
     parity_witness,
@@ -33,11 +38,19 @@ from bksgeom.magic import (
     sorted_observables,
     twin_contexts,
 )
-from bksgeom.pauli import multiply, packed_product, parse_observable, to_symplectic
+from bksgeom.pauli import (
+    _from_packed,
+    from_symplectic,
+    multiply,
+    packed_product,
+    parse_observable,
+    to_symplectic,
+)
 from bksgeom.rectangle import anchor_point, magic_rectangle, twin_rectangle
 from bksgeom.search import (
     SearchOptions,
     _RectangleWalk,
+    _negative_affine,
     _third_table,
     canonical_config,
     cap_census,
@@ -487,6 +500,142 @@ def test_rectangle_rejects_wrong_size():
 
 def test_cli_shape_alias():
     assert find_hc_rectangles is find_magic_rectangles
+
+
+# ---------------------------------------------------------------------------
+# the seed check against the object-level shape test it replaced
+
+
+def _is_rectangle(config: MagicConfiguration, anchor: SymplecticPoint) -> bool:
+    """Structural test of the anchored rectangle shape (any member order)."""
+    if len(config.contexts) != 5:
+        return False
+    quads = []
+    affine = None
+    for ctx in config.contexts:
+        pts = ctx.points()
+        if len(set(pts)) != len(ctx.observables):
+            return False
+        if len(pts) == 5:
+            quads.append(pts)
+        elif len(pts) == 4:
+            if affine is not None:
+                return False
+            affine = pts
+        else:
+            return False
+    if len(quads) != 4 or affine is None:
+        return False
+    for pts in quads:
+        if anchor not in pts:
+            return False
+        if classify_set(pts).kind != KIND_ELLIPTIC_QUADRIC:
+            return False
+        if canonical_context_sign(Context(tuple(from_symplectic(p) for p in pts))) != 1:
+            return False
+    spans = [span(pts) for pts in quads]
+    if len({s.rows for s in spans}) != 4:
+        return False
+    for a, b in itertools.combinations(range(4), 2):
+        shared = set(quads[a]) & set(quads[b])
+        if len(shared) != 2 or anchor not in shared:
+            return False
+        if intersect(spans[a], spans[b]).rank != 2:
+            return False
+    counts: Dict[SymplecticPoint, int] = {}
+    for pts in quads:
+        for p in pts:
+            counts[p] = counts.get(p, 0) + 1
+    odd = sorted((p for p, c in counts.items() if c % 2 == 1), key=lambda p: p.value)
+    if odd != sorted(affine, key=lambda p: p.value):
+        return False
+    return _negative_affine(anchor.n, [p.value for p in affine])
+
+
+_Raw = namedtuple("_Raw", "contexts")
+
+
+def _reference_accepts(contexts, anchor: SymplecticPoint) -> bool:
+    """_is_rectangle on packed contexts.  A seed is a MagicConfiguration,
+    validated before any shape check, so an input that _is_rectangle
+    cannot judge without a ContextError is one no seed can be."""
+    raw = _Raw(tuple(Context(tuple(_from_packed(4, v, s) for v, s in ctx)) for ctx in contexts))
+    try:
+        return _is_rectangle(raw, anchor)
+    except ContextError:
+        return False
+
+
+def _mutations(contexts, other, rng: random.Random):
+    """The contexts and variants: one member's value flipped, a context
+    dropped, members and contexts shuffled, a member sign flipped, an
+    identity member appended, two contexts swapped, and one context
+    exchanged with the same-position context of another result."""
+    ctxs = [list(ctx) for ctx in contexts]
+    k = rng.randrange(len(ctxs))
+    m = rng.randrange(len(ctxs[k]))
+    v, s = ctxs[k][m]
+
+    def with_member(member):
+        out = [list(ctx) for ctx in ctxs]
+        out[k][m] = member
+        return out
+
+    shuffled = [rng.sample(ctx, len(ctx)) for ctx in ctxs]
+    rng.shuffle(shuffled)
+    appended = [list(ctx) for ctx in ctxs]
+    appended[k].append((0, 1))
+    i, j = rng.sample(range(len(ctxs)), 2)
+    swapped = list(ctxs)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    exchanged = list(ctxs)
+    exchanged[k] = list(other[k])
+    variants = [
+        ctxs,
+        with_member((v ^ 1 << rng.randrange(8), s)),
+        ctxs[:k] + ctxs[k + 1 :],
+        shuffled,
+        with_member((v, -s)),
+        appended,
+        swapped,
+        exchanged,
+    ]
+    return [tuple(tuple(ctx) for ctx in variant) for variant in variants]
+
+
+def test_seed_check_agrees_with_the_object_level_shape_test():
+    """walk.holds against _is_rectangle, the object-level shape test it
+    replaced, on raw walk results at four even-Y anchors, the built-in
+    pair at IXII, and mutations of each."""
+    corpus = []
+    for word in ("IXII", "ZIII", "XIIZ", "YYYY"):
+        results = find_magic_rectangles(rect_options(anchor_point=pt(word), limit=200, dedup=False))
+        assert len(results) == 200
+        corpus.append((pt(word), [packed_contexts(config) for config in results]))
+    corpus.append((anchor_point(), [packed_contexts(c) for c in (magic_rectangle(), twin_rectangle())]))
+    checked = accepted = 0
+    for anchor, configs in corpus:
+        walk = _RectangleWalk(anchor)
+        rng = random.Random(anchor.value)
+        for index, contexts in enumerate(configs):
+            other = configs[index - 1]
+            for variant in _mutations(contexts, other, rng):
+                expected = _reference_accepts(variant, anchor)
+                assert walk.holds(variant) == expected, (anchor, variant)
+                checked += 1
+                accepted += expected
+    assert checked == 8 * 802
+    # Originals, shuffles, sign flips and swaps hold; most other variants
+    # are rejected.
+    assert 4 * 802 <= accepted < 5 * 802
+
+
+def test_seed_from_another_qubit_count_rejected():
+    # At 8 qubits the built-in rectangle's packed values are Z-type words,
+    # a valid configuration whose point sets equal the 4-qubit rectangle's.
+    lifted = config_from_packed(8, packed_contexts(magic_rectangle()))
+    with pytest.raises(ValueError, match="seed"):
+        find_magic_rectangles(rect_options(seed=lifted))
 
 
 # Digests of the result words, recorded before the Lagrangian walk and
