@@ -1,15 +1,18 @@
-"""Integer kernels: the valuation solve and cap enumeration.
+"""Integer kernels: the valuation solve and the cap table.
 
 * ``valuation_scan``: the least noncontextual sign assignment of a
   k-point universe, found by Gauss-Jordan elimination over GF(2) on
   integer bitmask rows.  It has no size limit.
-* ``cap_subsets``: enumeration of 5-point subsets of a rank-4 subspace
-  that contain no collinear triple and no coplanar quadruple.
+* ``cap_subsets``: the 168 caps of PG(3, 2) in coordinates; the callers
+  map it into a rank-4 subspace through a basis.
 
-Both are plain Python on ints and lists.
+Both are plain Python on ints and lists.  They share a module only
+because the benchmark's tracer times them under ``_kernels``.
 """
 
 from __future__ import annotations
+
+import itertools
 
 # ---------------------------------------------------------------------------
 # valuation solve
@@ -49,47 +52,21 @@ def valuation_scan(masks, parities, width: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# cap enumeration
+# caps
 
 
-def cap_subsets(third, fixed: int = -1) -> list[tuple[int, ...]]:
-    """Index 5-tuples forming caps with no coplanar quadruple.
+def cap_subsets() -> list[tuple[int, ...]]:
+    """The 168 caps of PG(3, 2), as sorted 5-tuples of coordinates 1..15.
 
-    ``third[i][j]`` must give the index of point_i XOR point_j inside
-    the same closed point list (any rank-4 subspace works).  When
-    ``fixed`` is non-negative only subsets containing it are returned.
-    Rows come back in lexicographic order, each sorted.
-
-    Two callers remain: ``search.enumerate_caps`` (the ovoid census) and
-    ``search._anchored_cap_patterns``, which runs it once per process on
-    GF(2)^4 to build the table the rectangle walk maps into every
-    Lagrangian.
-
-    Over GF(2) three points are collinear exactly when one is the sum of
-    the other two, and four points with no collinear triple are coplanar
-    exactly when one is the sum of the other three.  So a partial cap
-    grows by a larger index p unless p is a sum of two or three of its
-    points; ``banned`` holds those sums as a bitmask over indices.
+    Five points of PG(3, 2) form an elliptic quadric exactly when they
+    are four independent points and their sum, so each cap is one row
+    (a, b, c, d, a ^ b ^ c ^ d) with a < b < c < d its four least
+    points.  The sum exceeds d exactly when the four are independent:
+    three of them summing to zero would make it the fourth, and all four
+    would make it 0.  Rows come in lexicographic order.
     """
-    k = len(third)
-    rows: list[tuple[int, ...]] = []
-
-    def grow(combo: tuple[int, ...], banned: int, pair_sums: list[int]) -> None:
-        has_fixed = fixed < 0 or fixed in combo
-        if len(combo) == 5:
-            if has_fixed:
-                rows.append(combo)
-            return
-        stop = k if has_fixed else fixed + 1  # indices past fixed cannot add it
-        for p in range(combo[-1] + 1 if combo else 0, stop):
-            if banned >> p & 1:
-                continue
-            row = third[p]
-            sums = [row[c] for c in combo]
-            ban = banned
-            for s in sums + [row[s] for s in pair_sums]:
-                ban |= 1 << s
-            grow(combo + (p,), ban, pair_sums + sums)
-
-    grow((), 0, [])
-    return rows
+    return [
+        (a, b, c, d, a ^ b ^ c ^ d)
+        for a, b, c, d in itertools.combinations(range(1, 16), 4)
+        if a ^ b ^ c ^ d > d
+    ]

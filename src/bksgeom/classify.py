@@ -105,10 +105,11 @@ def is_cap(points: Sequence[SymplecticPoint]) -> bool:
 def classify_set(points: Sequence[SymplecticPoint]) -> ClassificationLabel:
     """Classify a set of distinct points into one of the known shapes.
 
-    A five-point set earns the elliptic quadric label only when it
-    passes both tests: no collinear triple and no coplanar quadruple.
-    The second test is not implied by the first over GF(2), where caps
-    larger than quadrics exist.
+    A five-point set earns the elliptic quadric label only when it spans
+    a PG(3, 2) and passes both tests: no collinear triple and no
+    coplanar quadruple.  The second test is not implied by the first
+    over GF(2), where caps larger than quadrics exist; five independent
+    points pass both and span rank 5.
     """
     pts = _checked_points(points)
     values = [p.value for p in pts]
@@ -117,8 +118,7 @@ def classify_set(points: Sequence[SymplecticPoint]) -> ClassificationLabel:
     k = len(pts)
 
     def witness(words: Sequence[int]) -> str:
-        names = " ".join(point_word(pts[i]) for i in words)
-        return names
+        return " ".join(point_word(pts[i]) for i in words)
 
     if k == 1:
         return ClassificationLabel(KIND_SINGLE_POINT, 1)
@@ -151,7 +151,8 @@ def classify_set(points: Sequence[SymplecticPoint]) -> ClassificationLabel:
             return ClassificationLabel(
                 KIND_GENERIC, rank, f"coplanar quadruple: {witness(quad)}"
             )
-        return ClassificationLabel(KIND_ELLIPTIC_QUADRIC, 4)
+        if rank == 4:
+            return ClassificationLabel(KIND_ELLIPTIC_QUADRIC, 4)
 
     if k == 7 and rank == 3:
         # Seven distinct points of rank 3 fill PG(2, 2), which is closed

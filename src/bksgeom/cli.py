@@ -140,9 +140,7 @@ def emit_config_text(
 # reports
 
 
-def _context_entry(
-    ctx: Context, canonical_sign: int, name: Optional[str], include_closure: bool
-) -> Dict:
+def _context_entry(ctx: Context, canonical_sign: int, name: Optional[str]) -> Dict:
     """One report entry; its sign is the kept canonical sign times the member signs."""
     pts = ctx.points()
     distinct = list(dict.fromkeys(pts))
@@ -159,28 +157,22 @@ def _context_entry(
         entry["classification"] = label.kind
         if label.detail:
             entry["classification_detail"] = label.detail
-        if include_closure:
-            entry["closure_points"] = [
-                point_word(p) for p in enumerate_points(sub)
-            ]
+        entry["closure_points"] = [point_word(p) for p in enumerate_points(sub)]
     else:
         entry["rank"] = 0
         entry["totally_isotropic"] = True
         entry["classification"] = None
-        if include_closure:
-            entry["closure_points"] = []
+        entry["closure_points"] = []
     return entry
 
 
 def build_report(
-    config: MagicConfiguration,
-    names: Sequence[Optional[str]],
-    include_closure: bool = True,
+    config: MagicConfiguration, names: Sequence[Optional[str]]
 ) -> Tuple[Dict, int]:
     """The full verification report and its exit code."""
     report: Dict = {"qubits": config.n}
     report["contexts"] = [
-        _context_entry(ctx, sign, name, include_closure)
+        _context_entry(ctx, sign, name)
         for ctx, sign, name in zip(config.contexts, config.canonical_signs, names)
     ]
     report["multiplicities"] = {
@@ -312,7 +304,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     config, names = read_config_file(args.file)
     entries = [
-        _context_entry(ctx, sign, name, include_closure=True)
+        _context_entry(ctx, sign, name)
         for ctx, sign, name in zip(config.contexts, config.canonical_signs, names)
     ]
     counts: Dict[str, int] = {}

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 MAX_QUBITS = 16
 
@@ -181,21 +181,25 @@ def contains(s: Subspace, p: SymplecticPoint) -> bool:
     return reduce_row(p.value, s.rows) == 0
 
 
+def _span_values(basis: Sequence[int]) -> list[int]:
+    """values[c] is the XOR of the basis vectors picked by the bits of c.
+
+    Entry c is entry c & (c - 1), c without its lowest set bit, plus one
+    basis vector, so the 2^r entries cost one XOR each; values[0] = 0.
+    """
+    values = [0] * (1 << len(basis))
+    for c in range(1, len(values)):
+        values[c] = values[c & (c - 1)] ^ basis[(c & -c).bit_length() - 1]
+    return values
+
+
 def enumerate_points(s: Subspace) -> list[SymplecticPoint]:
     """All projective points of the subspace, sorted by canonical value.
 
     The subspace of rank r contains 2^r - 1 points, one per non-empty
     subset of the RREF basis.
     """
-    values: list[int] = []
-    for picks in range(1, 1 << s.rank):
-        acc = 0
-        for i in range(s.rank):
-            if (picks >> i) & 1:
-                acc ^= s.rows[i]
-        values.append(acc)
-    values.sort()
-    return [SymplecticPoint.from_value(s.n, v) for v in values]
+    return [SymplecticPoint.from_value(s.n, v) for v in sorted(_span_values(s.rows)[1:])]
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:

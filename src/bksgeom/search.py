@@ -13,18 +13,22 @@ Three searches are offered, selected by SearchOptions.shape:
 * ``ovoid_census``: no configurations, just the census of elliptic
   quadrics inside rank-4 ambient spaces (see :func:`cap_census`).
 
+Every cap comes from one table, the 168 caps of PG(3, 2) in
+coordinates (``_kernels.cap_subsets``), mapped into a rank-4 subspace
+through a basis by ``geometry._span_values``: the census through the
+RREF basis, the rectangle walk through a basis led by the anchor.
+
 Rectangle search walks 4-cliques of maximal totally isotropic subspaces
 through the anchor (pairwise meeting in lines) on packed integers, with
 per-pair compatibility bitmasks pruning the cap choices and shared-point
-distinctness pruning the surviving branches.  The anchored caps of each
-subspace are mapped from one table of the caps of PG(3, 2), and the
-compatibility masks come from bucketing caps by the point of the meet
-line they hold.  Results stay packed, as contexts of (value, sign)
-pairs, through the twin map, canonical ordering and dedup; a
-MagicConfiguration is built only for a result that enters the list.
-They are emitted in (configuration, twin) pairs so that truncation by
-``limit`` never separates a configuration from its complement; an odd
-limit simply stops one pair earlier.
+distinctness pruning the surviving branches.  The compatibility masks
+come from bucketing caps by the point of the meet line they hold.
+Results stay packed, as contexts of (value, sign) pairs, through the
+twin map, canonical ordering and dedup; a MagicConfiguration is built
+only for a result that enters the list.  They are emitted in
+(configuration, twin) pairs so that truncation by ``limit`` never
+separates a configuration from its complement; an odd limit simply
+stops one pair earlier.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .geometry import (
     Subspace,
     SymplecticPoint,
     _rref,
-    enumerate_points,
+    _span_values,
     packed_form,
     reduce_row,
     span,
@@ -175,38 +179,30 @@ class _Emitter:
 # caps
 
 
-def _third_table(points: Sequence[SymplecticPoint]) -> List[List[int]]:
-    """third[i][j] is the index of points[i] XOR points[j]; the diagonal is -1."""
-    index = {p.value: i for i, p in enumerate(points)}
-    return [[index.get(p.value ^ q.value, -1) for q in points] for p in points]
-
-
 def enumerate_caps(subspace: Subspace) -> List[Tuple[SymplecticPoint, ...]]:
     """All elliptic quadrics (5 points, no 3 collinear, no 4 coplanar)
-    inside a rank-4 subspace, in lexicographic point order.
+    inside a rank-4 subspace, in lexicographic point order: the images
+    of the 168 caps of PG(3, 2) under the subspace's RREF basis, since a
+    linear bijection keeps collinear triples and coplanar quadruples.
     """
     if subspace.rank != 4:
         raise ValueError(
             f"cap enumeration needs a rank-4 ambient space, got rank {subspace.rank}"
         )
-    points = enumerate_points(subspace)
-    rows = _kernels.cap_subsets(_third_table(points), -1)
-    return [tuple(points[i] for i in row) for row in rows]
+    image = _span_values(subspace.rows)
+    point = {v: SymplecticPoint.from_value(subspace.n, v) for v in image[1:]}
+    caps = sorted(tuple(sorted(image[c] for c in row)) for row in _kernels.cap_subsets())
+    return [tuple(point[v] for v in cap) for cap in caps]
 
 
 @functools.lru_cache(maxsize=None)
 def _anchored_cap_patterns() -> Tuple[Tuple[int, ...], ...]:
     """The 56 caps of PG(3, 2) through the coordinate point e1 = 0b0001.
 
-    Points of GF(2)^4 are the values 1..15 (index i holds i + 1).  A
-    rank-4 subspace with a basis whose first vector is the anchor maps
-    these patterns onto its anchored caps, since a linear bijection
-    keeps collinear triples and coplanar quadruples.
+    A rank-4 subspace with a basis whose first vector is the anchor maps
+    these patterns onto its anchored caps.
     """
-    third = [[(i ^ j) - 1 for j in range(1, 16)] for i in range(1, 16)]
-    return tuple(
-        tuple(i + 1 for i in row) for row in _kernels.cap_subsets(third, 0)
-    )
+    return tuple(row for row in _kernels.cap_subsets() if row[0] == 1)
 
 
 @functools.lru_cache(maxsize=8)
@@ -339,10 +335,10 @@ def _negative_affine(n: int, values: Sequence[int]) -> bool:
 class _RectangleWalk:
     """State of the clique walk on packed values: coordinates, caps, compat masks.
 
-    Each Lagrangian's anchored caps are the images of one table, the 56
-    caps of PG(3, 2) through e1, under a basis whose first vector is the
-    anchor.  Two Lagrangians meeting in a line share the anchor and two
-    further points p and anchor ^ p, and a cap holds at most one of those
+    Each Lagrangian's anchored caps are the images of the cap table's 56
+    rows through e1 under a basis whose first vector is the anchor.  Two
+    Lagrangians meeting in a line share the anchor and two further
+    points p and anchor ^ p, and a cap holds at most one of those
     (it has no collinear triple); caps of the two meet in exactly one
     further point iff they hold the same one, so compatibility masks come
     from bucketing one side's caps by that point.
@@ -361,18 +357,10 @@ class _RectangleWalk:
     def _coordinates(self, rows: Tuple[int, ...]) -> List[int]:
         """image[c] is the point with coordinates c (1..15) in a basis of
         the Lagrangian whose first vector is the anchor; image[0] = 0."""
-        basis = list(rows)
         # The anchor is the sum of the RREF rows whose pivot bit it has;
         # trading the first of those for it keeps a basis.
-        for k, row in enumerate(basis):
-            if self.anchor >> (row.bit_length() - 1) & 1:
-                del basis[k]
-                break
-        basis.insert(0, self.anchor)
-        image = [0] * 16
-        for c in range(1, 16):
-            image[c] = image[c & (c - 1)] ^ basis[(c & -c).bit_length() - 1]
-        return image
+        k = next(k for k, row in enumerate(rows) if self.anchor >> (row.bit_length() - 1) & 1)
+        return _span_values((self.anchor, *rows[:k], *rows[k + 1 :]))
 
     def caps(self, i: int) -> List[Tuple[int, ...]]:
         """Anchored caps of Lagrangian i with canonical sign +1, as sorted

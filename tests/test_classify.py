@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bksgeom.classify import (
     KIND_AFFINE_PLANE,
@@ -103,6 +105,34 @@ def test_cap_with_coplanar_quadruple_is_not_quadric():
     assert label.kind == KIND_GENERIC
     assert label.detail.startswith("coplanar quadruple:")
     assert label.detail == "coplanar quadruple: XI IX ZI YX"
+
+
+def test_five_independent_points_are_not_quadric():
+    """No collinear triple and no coplanar quadruple, but rank 5: five
+    independent points span no PG(3, 2), so they are no elliptic quadric."""
+    label = classify_set(pts("XIII", "IXII", "IIXI", "IIIX", "ZIII"))
+    assert label.kind == KIND_GENERIC
+    assert label.ambient_rank == 5
+    assert label.detail == "no recognised shape for 5 points of rank 5"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_five_points_are_quadric_exactly_when_they_sum_to_zero(data):
+    """The rule of the cap table: four independent points and their sum.
+
+    Half the draws close the set with the sum of four points, so both
+    sides of the rule are exercised at n = 2 and n = 3."""
+    n = data.draw(st.integers(2, 3))
+    top = (1 << 2 * n) - 1
+    values = data.draw(st.lists(st.integers(1, top), min_size=4, max_size=4, unique=True))
+    total = values[0] ^ values[1] ^ values[2] ^ values[3]
+    if data.draw(st.booleans()) and total and total not in values:
+        values.append(total)
+    else:
+        values.append(data.draw(st.integers(1, top).filter(lambda v: v not in values)))
+    label = classify_set([SymplecticPoint.from_value(n, v) for v in values])
+    assert (label.kind == KIND_ELLIPTIC_QUADRIC) == (total == values[4])
 
 
 def test_collinear_witness():

@@ -1,6 +1,8 @@
 """End-to-end tests of the command line interface."""
 
+import contextlib
 import importlib.metadata
+import io
 import json
 import shutil
 import subprocess
@@ -8,11 +10,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bksgeom.magic
 from bksgeom.cli import build_report, emit_config_text, main, parse_config_text, read_config_file
 from bksgeom.magic import Context, MagicConfiguration
-from bksgeom.pauli import ParseError
+from bksgeom.geometry import SymplecticPoint, _rref, _span_values, packed_form, reduce_row
+from bksgeom.pauli import ParseError, point_word
 from bksgeom.rectangle import CONTEXT_NAMES, CONTEXT_WORDS, TWIN_CONTEXT_WORDS, magic_rectangle
 
 RECT_FILE = """\
@@ -449,6 +454,51 @@ def test_search_bad_limit_exits_2(capsys):
     )
     assert code == 2
     assert "limit" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing
+
+
+def _commuting_context(rng, n: int) -> list:
+    """Members of one context: a random isotropic basis, members from its
+    span, the member that closes the product, signs and identity members."""
+    basis: list = []
+    for _ in range(rng.randint(1, n)):
+        v = rng.randrange(1, 1 << 2 * n)
+        if all(packed_form(n, v, b) == 0 for b in basis) and reduce_row(v, _rref(basis, 2 * n)):
+            basis.append(v)
+    values = _span_values(basis)[1:]
+    members = rng.sample(values, rng.randint(1, len(values)))
+    closing = 0
+    for v in members:
+        closing ^= v
+    if closing:
+        members.append(closing)
+    words = [point_word(SymplecticPoint.from_value(n, v)) for v in members]
+    words += ["I" * n] * rng.choice((0, 0, 1))
+    return [rng.choice(("", "", "-")) + w for w in rng.sample(words, len(words))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 5), count=st.integers(1, 4), rng=st.randoms(use_true_random=False))
+def test_cli_fuzz_exit_codes(tmp_path_factory, n, count, rng):
+    """Generated files of commuting contexts get a documented exit code
+    from every file command, and no exception escapes."""
+    contexts = [_commuting_context(rng, n) for _ in range(count)]
+    path = tmp_path_factory.mktemp("fuzz") / "config.txt"
+    path.write_text("\n\n".join("\n".join(ctx) for ctx in contexts) + "\n")
+    point = rng.choice([w.lstrip("-") for ctx in contexts for w in ctx])
+    commands = (
+        ["verify", str(path)],
+        ["classify", str(path)],
+        ["complement", str(path), "--point", point],
+    )
+    for command in commands:
+        for extra in ([], ["--json"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                assert main(command + extra) in {0, 1, 2, 3}
 
 
 # ---------------------------------------------------------------------------

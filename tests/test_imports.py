@@ -1,6 +1,8 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and every name
+the benchmark traces exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -35,3 +37,24 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def traced_names() -> list:
+    """The (module, function) pairs the benchmark's tracer wraps, read
+    from ``perfbench/tracing.py`` without importing it."""
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py").read_text()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "WRAPPED" for target in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    raise AssertionError("perfbench/tracing.py defines no WRAPPED")
+
+
+def test_every_traced_name_resolves():
+    """A traced name that no longer exists makes the benchmark report it
+    as absent, so each must stay importable under its module."""
+    names = traced_names()
+    assert ("_kernels", "valuation_scan") in names
+    for module, function in names:
+        assert callable(getattr(importlib.import_module(f"bksgeom.{module}"), function))

@@ -12,9 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bksgeom import _kernels
-from bksgeom.geometry import enumerate_points, span
-from bksgeom.pauli import parse_observable, to_symplectic
-from bksgeom.search import _third_table
 
 
 def brute_valuation_scan(masks, parities, width):
@@ -101,46 +98,29 @@ def test_numpy_scan_crosses_chunk_boundary():
 # cap subsets
 
 
-def span_s1_table():
-    points = enumerate_points(
-        span([to_symplectic(parse_observable(w)) for w in ("ZIII", "IXII", "IIZI", "IIIX")])
-    )
-    anchor_index = [p.value for p in points].index(64)
-    return _third_table(points), anchor_index
-
-
 def test_cap_subsets_shape_and_order():
-    third, anchor_index = span_s1_table()
-    rows = _kernels.cap_subsets(third, -1)
+    rows = _kernels.cap_subsets()
     assert len(rows) == 168
     assert rows == sorted(rows)
     for row in rows:
         assert list(row) == sorted(set(row))
-    anchored = _kernels.cap_subsets(third, anchor_index)
-    assert len(anchored) == 56
-    assert all(anchor_index in set(r) for r in anchored)
+        assert all(1 <= c <= 15 for c in row)
+    assert sum(1 in row for row in rows) == 56
 
 
 def test_cap_subsets_matches_brute_force():
-    # Reference on point values: a 5-subset is a cap unless some 3 or 4
+    # Reference on coordinates: a 5-subset is a cap unless some 3 or 4
     # of its points XOR to zero (a line, or a plane's affine quadruple).
-    points = enumerate_points(
-        span([to_symplectic(parse_observable(w)) for w in ("ZIII", "IXII", "IIZI", "IIIX")])
-    )
-    values = [p.value for p in points]
     caps = [
         combo
-        for combo in itertools.combinations(range(len(values)), 5)
+        for combo in itertools.combinations(range(1, 16), 5)
         if all(
-            functools.reduce(operator.xor, (values[i] for i in sub))
+            functools.reduce(operator.xor, sub)
             for size in (3, 4)
             for sub in itertools.combinations(combo, size)
         )
     ]
-    third = _third_table(points)
-    assert _kernels.cap_subsets(third, -1) == caps
-    for fixed in range(len(values)):
-        assert _kernels.cap_subsets(third, fixed) == [c for c in caps if fixed in c]
+    assert _kernels.cap_subsets() == caps
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,10 @@ import itertools
 import math
 import random
 from collections import namedtuple
-from typing import Dict
+from typing import Dict, List, Sequence
 
 import pytest
 
-from bksgeom import _kernels
 from bksgeom.classify import (
     KIND_AFFINE_PLANE,
     KIND_ELLIPTIC_QUADRIC,
@@ -51,7 +50,6 @@ from bksgeom.search import (
     SearchOptions,
     _RectangleWalk,
     _negative_affine,
-    _third_table,
     canonical_config,
     cap_census,
     enumerate_caps,
@@ -235,17 +233,91 @@ def test_pair_meet_rank_by_dimension_formula():
         assert walk.pair_ok(i, j) == (meet == 2)
 
 
+# The per-subspace cap grower and its XOR table, which the one cap
+# table of PG(3, 2) replaced; kept here as references.
+
+
+def _third_table(points: Sequence[SymplecticPoint]) -> List[List[int]]:
+    """third[i][j] is the index of points[i] XOR points[j]; the diagonal is -1."""
+    index = {p.value: i for i, p in enumerate(points)}
+    return [[index.get(p.value ^ q.value, -1) for q in points] for p in points]
+
+
+def cap_subsets(third, fixed: int = -1) -> list[tuple[int, ...]]:
+    """Index 5-tuples forming caps with no coplanar quadruple.
+
+    ``third[i][j]`` must give the index of point_i XOR point_j inside
+    the same closed point list (any rank-4 subspace works).  When
+    ``fixed`` is non-negative only subsets containing it are returned.
+    Rows come back in lexicographic order, each sorted.
+
+    Over GF(2) three points are collinear exactly when one is the sum of
+    the other two, and four points with no collinear triple are coplanar
+    exactly when one is the sum of the other three.  So a partial cap
+    grows by a larger index p unless p is a sum of two or three of its
+    points; ``banned`` holds those sums as a bitmask over indices.
+    """
+    k = len(third)
+    rows: list[tuple[int, ...]] = []
+
+    def grow(combo: tuple[int, ...], banned: int, pair_sums: list[int]) -> None:
+        has_fixed = fixed < 0 or fixed in combo
+        if len(combo) == 5:
+            if has_fixed:
+                rows.append(combo)
+            return
+        stop = k if has_fixed else fixed + 1  # indices past fixed cannot add it
+        for p in range(combo[-1] + 1 if combo else 0, stop):
+            if banned >> p & 1:
+                continue
+            row = third[p]
+            sums = [row[c] for c in combo]
+            ban = banned
+            for s in sums + [row[s] for s in pair_sums]:
+                ban |= 1 << s
+            grow(combo + (p,), ban, pair_sums + sums)
+
+    grow((), 0, [])
+    return rows
+
+
 def _reference_anchored_caps(sub, anchor: int) -> list:
     """Reference for the cap table: enumerate the subspace's points, run
-    the cap kernel with the anchor fixed, keep canonical sign +1."""
+    the cap grower with the anchor fixed, keep canonical sign +1."""
     points = enumerate_points(sub)
     anchor_index = [p.value for p in points].index(anchor)
     good = []
-    for row in _kernels.cap_subsets(_third_table(points), anchor_index):
+    for row in cap_subsets(_third_table(points), anchor_index):
         vals = tuple(points[j].value for j in row)
         if packed_product(sub.n, vals) == (1, 0):
             good.append(vals)
     return good
+
+
+def _reference_points(s):
+    """The subset loop that enumerate_points ran before the span-value table."""
+    values: list[int] = []
+    for picks in range(1, 1 << s.rank):
+        acc = 0
+        for i in range(s.rank):
+            if (picks >> i) & 1:
+                acc ^= s.rows[i]
+        values.append(acc)
+    values.sort()
+    return [SymplecticPoint.from_value(s.n, v) for v in values]
+
+
+def test_cap_table_and_points_match_the_grower_and_subset_loop():
+    subs = list(magic_rectangle().context_spans()[:4])
+    subs.append(span([SymplecticPoint.from_value(2, 1 << i) for i in range(4)]))
+    for word in ("IXII", "YYYY"):
+        subs += maximal_isotropic_through(pt(word))
+    assert len(subs) == 275
+    for sub in subs:
+        points = _reference_points(sub)
+        assert enumerate_points(sub) == points
+        rows = cap_subsets(_third_table(points))
+        assert enumerate_caps(sub) == [tuple(points[i] for i in row) for row in rows]
 
 
 @pytest.mark.parametrize("word", ["IXII", "YYYY", "XIIZ"])
