@@ -3,8 +3,8 @@
 * ``valuation_scan``: the least noncontextual sign assignment of a
   k-point universe, found by Gauss-Jordan elimination over GF(2) on
   integer bitmask rows.  It has no size limit.
-* ``cap_subsets``: the 168 caps of PG(3, 2) in coordinates; the callers
-  map it into a rank-4 subspace through a basis.
+* ``cap_subsets``: the 168 caps of PG(3, 2) in coordinates; the cap
+  census maps it into a rank-4 subspace through a basis.
 
 Both are plain Python on ints and lists.  They share a module only
 because the benchmark's tracer times them under ``_kernels``.
@@ -63,7 +63,9 @@ def cap_subsets() -> list[tuple[int, ...]]:
     (a, b, c, d, a ^ b ^ c ^ d) with a < b < c < d its four least
     points.  The sum exceeds d exactly when the four are independent:
     three of them summing to zero would make it the fourth, and all four
-    would make it 0.  Rows come in lexicographic order.
+    would make it 0.  Rows come in lexicographic order.  Its one caller
+    is ``search.enumerate_caps``; the rectangle walk builds each cap from
+    the anchor and three points by the same rule.
     """
     return [
         (a, b, c, d, a ^ b ^ c ^ d)

@@ -13,22 +13,20 @@ Three searches are offered, selected by SearchOptions.shape:
 * ``ovoid_census``: no configurations, just the census of elliptic
   quadrics inside rank-4 ambient spaces (see :func:`cap_census`).
 
-Every cap comes from one table, the 168 caps of PG(3, 2) in
-coordinates (``_kernels.cap_subsets``), mapped into a rank-4 subspace
-through a basis by ``geometry._span_values``: the census through the
-RREF basis, the rectangle walk through a basis led by the anchor.
+The census maps the 168 caps of PG(3, 2) in coordinates
+(``_kernels.cap_subsets``) into a rank-4 subspace through its RREF basis
+with ``geometry._span_values``.
 
 Rectangle search walks 4-cliques of maximal totally isotropic subspaces
-through the anchor (pairwise meeting in lines) on packed integers, with
-per-pair compatibility bitmasks pruning the cap choices and shared-point
-distinctness pruning the surviving branches.  The compatibility masks
-come from bucketing caps by the point of the meet line they hold.
-Results stay packed, as contexts of (value, sign) pairs, through the
-twin map, canonical ordering and dedup; a MagicConfiguration is built
-only for a result that enters the list.  They are emitted in
-(configuration, twin) pairs so that truncation by ``limit`` never
-separates a configuration from its complement; an odd limit simply
-stops one pair earlier.
+through the anchor (pairwise meeting in lines) on packed integers.  A
+rectangle on a clique is fixed by one further point on each of the six
+meet lines: each cap is the anchor, the points picked on its three
+lines, and their sum.  Results stay packed, as contexts of (value,
+sign) pairs, through the twin map, canonical ordering and dedup; a
+MagicConfiguration is built only for a result that enters the list.
+They are emitted in (configuration, twin) pairs so that truncation by
+``limit`` never separates a configuration from its complement; an odd
+limit simply stops one pair earlier.
 """
 
 from __future__ import annotations
@@ -195,16 +193,6 @@ def enumerate_caps(subspace: Subspace) -> List[Tuple[SymplecticPoint, ...]]:
     return [tuple(point[v] for v in cap) for cap in caps]
 
 
-@functools.lru_cache(maxsize=None)
-def _anchored_cap_patterns() -> Tuple[Tuple[int, ...], ...]:
-    """The 56 caps of PG(3, 2) through the coordinate point e1 = 0b0001.
-
-    A rank-4 subspace with a basis whose first vector is the anchor maps
-    these patterns onto its anchored caps.
-    """
-    return tuple(row for row in _kernels.cap_subsets() if row[0] == 1)
-
-
 @functools.lru_cache(maxsize=8)
 def maximal_isotropic_through(point: SymplecticPoint) -> Tuple[Subspace, ...]:
     """Every maximal totally isotropic subspace containing the point.
@@ -333,127 +321,91 @@ def _negative_affine(n: int, values: Sequence[int]) -> bool:
 
 
 class _RectangleWalk:
-    """State of the clique walk on packed values: coordinates, caps, compat masks.
+    """State of the clique walk on packed values: Lagrangians, meet lines, caps.
 
-    Each Lagrangian's anchored caps are the images of the cap table's 56
-    rows through e1 under a basis whose first vector is the anchor.  Two
-    Lagrangians meeting in a line share the anchor and two further
-    points p and anchor ^ p, and a cap holds at most one of those
-    (it has no collinear triple); caps of the two meet in exactly one
-    further point iff they hold the same one, so compatibility masks come
-    from bucketing one side's caps by that point.
+    Two Lagrangians meeting in a line share the anchor p and two further
+    points x and p ^ x.  A cap holds at most one of those (it has no
+    collinear triple), and a cap of PG(3, 2) is four independent points
+    plus their sum, so an anchored cap of a Lagrangian holding a point
+    of each of three meet lines is p, those three points and their sum.
     """
 
     def __init__(self, anchor: SymplecticPoint):
         self.anchor = anchor.value
         self.n = anchor.n
         self.lagrangians = maximal_isotropic_through(anchor)
-        self._images = [self._coordinates(sub.rows) for sub in self.lagrangians]
-        self._point_masks = [sum(1 << v for v in image[1:]) for image in self._images]
-        self._caps: Dict[int, List[Tuple[int, ...]]] = {}
-        self._cap_masks: Dict[int, List[int]] = {}
-        self._compat: Dict[Tuple[int, int], Tuple[List[int], List[int]]] = {}
-
-    def _coordinates(self, rows: Tuple[int, ...]) -> List[int]:
-        """image[c] is the point with coordinates c (1..15) in a basis of
-        the Lagrangian whose first vector is the anchor; image[0] = 0."""
-        # The anchor is the sum of the RREF rows whose pivot bit it has;
-        # trading the first of those for it keeps a basis.
-        k = next(k for k, row in enumerate(rows) if self.anchor >> (row.bit_length() - 1) & 1)
-        return _span_values((self.anchor, *rows[:k], *rows[k + 1 :]))
-
-    def caps(self, i: int) -> List[Tuple[int, ...]]:
-        """Anchored caps of Lagrangian i with canonical sign +1, as sorted
-        value tuples in lexicographic order."""
-        if i not in self._caps:
-            image = self._images[i]
-            good = []
-            for pattern in _anchored_cap_patterns():
-                vals = tuple(sorted(image[c] for c in pattern))
-                if packed_product(self.n, vals) == (1, 0):
-                    good.append(vals)
-            good.sort()
-            self._caps[i] = good
-            self._cap_masks[i] = [sum(1 << v for v in cap) for cap in good]
-        return self._caps[i]
+        self._point_masks = [
+            sum(1 << v for v in _span_values(sub.rows)[1:]) for sub in self.lagrangians
+        ]
+        self._caps: Dict[Tuple[int, int, int], Optional[Tuple[int, ...]]] = {}
 
     def pair_ok(self, i: int, j: int) -> bool:
         """Spans must meet in a line: exactly three common points."""
         return (self._point_masks[i] & self._point_masks[j]).bit_count() == 3
 
-    def compat(self, i: int, j: int) -> Tuple[List[int], List[int]]:
-        """Pair compatibility between the cap lists of two Lagrangians
-        that meet in a line (see :meth:`pair_ok`).
+    def _line(self, i: int, j: int) -> Tuple[int, ...]:
+        """The two points other than the anchor of the line that
+        Lagrangians i and j meet in (see :meth:`pair_ok`)."""
+        meet = self._point_masks[i] & self._point_masks[j]
+        return tuple(_bits(meet ^ 1 << self.anchor))
 
-        Returns (masks, shared): masks[a] is a bitmask over caps(j) of
-        the caps sharing exactly the anchor plus one further point with
-        cap a of caps(i), and shared[a] is that further point: the point
-        of the meet line cap a holds (-1 when it holds none).
-        """
-        key = (i, j)
-        if key not in self._compat:
-            self.caps(i)
-            self.caps(j)
-            meet = (self._point_masks[i] & self._point_masks[j]) ^ (1 << self.anchor)
-            buckets: Dict[int, int] = {}
-            for b, cap in enumerate(self._cap_masks[j]):
-                held = cap & meet
-                if held:
-                    buckets[held] = buckets.get(held, 0) | 1 << b
-            masks: List[int] = []
-            shared: List[int] = []
-            for cap in self._cap_masks[i]:
-                held = cap & meet
-                masks.append(buckets.get(held, 0))
-                shared.append(held.bit_length() - 1)
-            self._compat[key] = (masks, shared)
-        return self._compat[key]
+    def _cap(self, x: int, y: int, z: int) -> Optional[Tuple[int, ...]]:
+        """The sorted cap {p, x, y, z, p ^ x ^ y ^ z} through the anchor
+        p, or None unless its five points are distinct and nonzero (so
+        p, x, y and z are independent) and its canonical sign is +1.
+        Memoised per walk: the cliques share their meet lines."""
+        key = (x, y, z)
+        if key not in self._caps:
+            points = {self.anchor, x, y, z, self.anchor ^ x ^ y ^ z}
+            cap = None
+            if 0 not in points and len(points) == 5:
+                cap = tuple(sorted(points))
+                if packed_product(self.n, cap) != (1, 0):
+                    cap = None
+            self._caps[key] = cap
+        return self._caps[key]
 
     def rectangles(self, a: int, b: int, c: int, d: int) -> Iterator[Tuple[PackedContext, ...]]:
-        """Packed contexts of every rectangle on the 4-clique a < b < c < d.
+        """Packed contexts of every rectangle on the 4-clique a < b < c < d,
+        sorted by their four caps.
 
-        The further point two caps share depends on either cap alone (see
-        :meth:`compat`), so each test that two of the six shared points
-        differ runs in the outermost loop fixing both.  A shared point
-        occurring twice would sit in three caps, breaking even
-        multiplicity.  Once they differ, the points of odd multiplicity
-        are the XOR of the four cap masks.
+        Each pair of caps shares the anchor and one point of its pair's
+        meet line, so one point on each of the six lines fixes the
+        rectangle: s_ab, s_ac and s_ad give cap a, then s_bc and s_bd
+        give cap b, then s_cd gives caps c and d.  The anchor and the six
+        shared points each lie in an even number of caps, so the points
+        of odd multiplicity are each cap's fifth point, the anchor plus
+        its three picks.
         """
-        caps_a, caps_b, caps_c, caps_d = (self.caps(i) for i in (a, b, c, d))
-        masks_a, masks_b, masks_c, masks_d = (self._cap_masks[i] for i in (a, b, c, d))
-        ab_mask, ab_val = self.compat(a, b)
-        ac_mask, ac_val = self.compat(a, c)
-        ad_mask, ad_val = self.compat(a, d)
-        bc_mask, bc_val = self.compat(b, c)
-        bd_mask, bd_val = self.compat(b, d)
-        cd_mask, cd_val = self.compat(c, d)
-        for ia in range(len(caps_a)):
-            if not (ab_mask[ia] and ac_mask[ia] and ad_mask[ia]):
+        p = self.anchor
+        cap = self._cap
+        line_bc, line_bd, line_cd = self._line(b, c), self._line(b, d), self._line(c, d)
+        found = []
+        for s_ab, s_ac, s_ad in itertools.product(
+            self._line(a, b), self._line(a, c), self._line(a, d)
+        ):
+            cap_a = cap(s_ab, s_ac, s_ad)
+            if cap_a is None:
                 continue
-            s_ab, s_ac, s_ad = ab_val[ia], ac_val[ia], ad_val[ia]
-            if s_ac == s_ab or s_ad == s_ab or s_ad == s_ac:
-                continue
-            for ib in _bits(ab_mask[ia]):
-                s_bc, s_bd = bc_val[ib], bd_val[ib]
-                if s_bc == s_ab or s_bd == s_ab or s_bd == s_bc:
+            for s_bc, s_bd in itertools.product(line_bc, line_bd):
+                cap_b = cap(s_ab, s_bc, s_bd)
+                if cap_b is None:
                     continue
-                mask_c = ac_mask[ia] & bc_mask[ib]
-                if not mask_c:
-                    continue
-                mask_d0 = ad_mask[ia] & bd_mask[ib]
-                if not mask_d0:
-                    continue
-                odd_ab = masks_a[ia] ^ masks_b[ib]
-                for ic in _bits(mask_c):
-                    s_cd = cd_val[ic]
-                    if s_cd == s_ac or s_cd == s_bc:
+                for s_cd in line_cd:
+                    cap_c, cap_d = cap(s_ac, s_bc, s_cd), cap(s_ad, s_bd, s_cd)
+                    if cap_c is None or cap_d is None:
                         continue
-                    odd_abc = odd_ab ^ masks_c[ic]
-                    for id_ in _bits(mask_d0 & cd_mask[ic]):
-                        odd = tuple(_bits(odd_abc ^ masks_d[id_]))
-                        quads = (caps_a[ia], caps_b[ib], caps_c[ic], caps_d[id_])
-                        if _negative_affine(self.n, odd):
-                            yield tuple(tuple((v, 1) for v in ctx) for ctx in (*quads, odd))
+                    odd = tuple(sorted((
+                        p ^ s_ab ^ s_ac ^ s_ad,
+                        p ^ s_ab ^ s_bc ^ s_bd,
+                        p ^ s_ac ^ s_bc ^ s_cd,
+                        p ^ s_ad ^ s_bd ^ s_cd,
+                    )))
+                    if _negative_affine(self.n, odd):
+                        found.append((cap_a, cap_b, cap_c, cap_d, odd))
+        found.sort()
+        for rectangle in found:
+            yield tuple(tuple((v, 1) for v in ctx) for ctx in rectangle)
 
     def holds(self, contexts: Sequence[PackedContext]) -> bool:
         """Whether packed contexts are one of the rectangles the walk
@@ -484,9 +436,8 @@ def find_magic_rectangles(options: SearchOptions) -> List[MagicConfiguration]:
     """Anchored rectangle search at four qubits.
 
     Walks 4-cliques of maximal totally isotropic subspaces through the
-    anchor in canonical order, prunes cap choices with pairwise
-    compatibility bitmasks, and completes each surviving quadruple with
-    its four odd-multiplicity points.  Under dedup every found
+    anchor in canonical order and yields the rectangles on each (see
+    :meth:`_RectangleWalk.rectangles`).  Under dedup every found
     configuration is emitted together with its complement, so the
     result list is closed under twinning at any even limit.
     """
@@ -513,15 +464,11 @@ def find_magic_rectangles(options: SearchOptions) -> List[MagicConfiguration]:
 
     count = len(walk.lagrangians)
     for a in range(count):
-        if not walk.caps(a):
-            continue
         for b in range(a + 1, count):
-            if not walk.pair_ok(a, b) or not walk.caps(b):
+            if not walk.pair_ok(a, b):
                 continue
             for c in range(b + 1, count):
                 if not (walk.pair_ok(a, c) and walk.pair_ok(b, c)):
-                    continue
-                if not walk.caps(c):
                     continue
                 for d in range(c + 1, count):
                     if not (
@@ -530,13 +477,8 @@ def find_magic_rectangles(options: SearchOptions) -> List[MagicConfiguration]:
                         and walk.pair_ok(c, d)
                     ):
                         continue
-                    if not walk.caps(d):
-                        continue
                     for contexts in walk.rectangles(a, b, c, d):
                         if not emit(contexts):
                             return emitter.results
     return emitter.results
 
-
-# Alias matching the CLI shape token.
-find_hc_rectangles = find_magic_rectangles

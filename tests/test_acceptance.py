@@ -63,7 +63,7 @@ from bksgeom.search import (
     SearchOptions,
     canonical_config,
     enumerate_caps,
-    find_hc_rectangles,
+    find_magic_rectangles,
     find_mermin_squares,
 )
 
@@ -374,8 +374,8 @@ def test_criterion_6_search(capsys):
             anchor_point=anchor_point(),
             seed=magic_rectangle(),
         )
-        results = find_hc_rectangles(options)
-        assert results == find_hc_rectangles(options)
+        results = find_magic_rectangles(options)
+        assert results == find_magic_rectangles(options)
         keys = {tuple(ctx.words for ctx in config.contexts) for config in results}
         assert tuple(
             ctx.words for ctx in canonical_config(magic_rectangle()).contexts

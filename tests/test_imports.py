@@ -1,5 +1,5 @@
-"""Every module of the package uses each name it imports, and every name
-the benchmark traces exists."""
+"""Every module of the package uses each name it imports, every private
+module-level name is read, and every name the benchmark traces exists."""
 
 import ast
 import importlib
@@ -37,6 +37,46 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def unread_private_names(sources: dict) -> list:
+    """(module, name) pairs of private names bound at module level by a
+    def, class or assignment that no module of ``sources`` ever reads."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+            else:
+                targets = []
+            defined += [(module, name) for name in targets if _is_private(name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted((module, name) for module, name in defined if name not in read)
+
+
+def test_the_check_finds_an_unread_private_name():
+    sources = {
+        "a.py": "_USED = 1\n_unused = 2\n__dunder__ = 3\ndef _helper():\n    return _USED\n",
+        "b.py": "from a import _helper\nx = _helper()\nclass _Orphan:\n    pass\n",
+    }
+    assert unread_private_names(sources) == [("a.py", "_unused"), ("b.py", "_Orphan")]
+
+
+def test_every_private_name_is_read():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert unread_private_names(sources) == []
 
 
 def traced_names() -> list:

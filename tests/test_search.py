@@ -1,14 +1,18 @@
 """Tests for the cap census, square search, and rectangle search."""
 
+import functools
 import hashlib
 import itertools
 import math
 import random
 from collections import namedtuple
-from typing import Dict, List, Sequence
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bksgeom import _kernels
 from bksgeom.classify import (
     KIND_AFFINE_PLANE,
     KIND_ELLIPTIC_QUADRIC,
@@ -17,6 +21,7 @@ from bksgeom.classify import (
 )
 from bksgeom.geometry import (
     SymplecticPoint,
+    _span_values,
     enumerate_points,
     intersect,
     is_totally_isotropic,
@@ -25,6 +30,7 @@ from bksgeom.geometry import (
 )
 from bksgeom.magic import (
     Context,
+    PackedContext,
     ContextError,
     MagicConfiguration,
     canonical_context_sign,
@@ -48,12 +54,12 @@ from bksgeom.pauli import (
 from bksgeom.rectangle import anchor_point, magic_rectangle, twin_rectangle
 from bksgeom.search import (
     SearchOptions,
+    _bits,
     _RectangleWalk,
     _negative_affine,
     canonical_config,
     cap_census,
     enumerate_caps,
-    find_hc_rectangles,
     find_magic_rectangles,
     find_mermin_squares,
     maximal_isotropic_through,
@@ -320,9 +326,148 @@ def test_cap_table_and_points_match_the_grower_and_subset_loop():
         assert enumerate_caps(sub) == [tuple(points[i] for i in row) for row in rows]
 
 
+# The walk that mapped a 56-row anchored cap table into each Lagrangian
+# and bucketed caps into per-pair compatibility masks, which the six
+# meet-line picks replaced; kept here as the reference walk.
+
+
+@functools.lru_cache(maxsize=None)
+def _anchored_cap_patterns() -> Tuple[Tuple[int, ...], ...]:
+    """The 56 caps of PG(3, 2) through the coordinate point e1 = 0b0001.
+
+    A rank-4 subspace with a basis whose first vector is the anchor maps
+    these patterns onto its anchored caps.
+    """
+    return tuple(row for row in _kernels.cap_subsets() if row[0] == 1)
+
+
+class _ReferenceWalk:
+    """State of the clique walk on packed values: coordinates, caps, compat masks.
+
+    Each Lagrangian's anchored caps are the images of the cap table's 56
+    rows through e1 under a basis whose first vector is the anchor.  Two
+    Lagrangians meeting in a line share the anchor and two further
+    points p and anchor ^ p, and a cap holds at most one of those
+    (it has no collinear triple); caps of the two meet in exactly one
+    further point iff they hold the same one, so compatibility masks come
+    from bucketing one side's caps by that point.
+    """
+
+    def __init__(self, anchor: SymplecticPoint):
+        self.anchor = anchor.value
+        self.n = anchor.n
+        self.lagrangians = maximal_isotropic_through(anchor)
+        self._images = [self._coordinates(sub.rows) for sub in self.lagrangians]
+        self._point_masks = [sum(1 << v for v in image[1:]) for image in self._images]
+        self._caps: Dict[int, List[Tuple[int, ...]]] = {}
+        self._cap_masks: Dict[int, List[int]] = {}
+        self._compat: Dict[Tuple[int, int], Tuple[List[int], List[int]]] = {}
+
+    def _coordinates(self, rows: Tuple[int, ...]) -> List[int]:
+        """image[c] is the point with coordinates c (1..15) in a basis of
+        the Lagrangian whose first vector is the anchor; image[0] = 0."""
+        # The anchor is the sum of the RREF rows whose pivot bit it has;
+        # trading the first of those for it keeps a basis.
+        k = next(k for k, row in enumerate(rows) if self.anchor >> (row.bit_length() - 1) & 1)
+        return _span_values((self.anchor, *rows[:k], *rows[k + 1 :]))
+
+    def caps(self, i: int) -> List[Tuple[int, ...]]:
+        """Anchored caps of Lagrangian i with canonical sign +1, as sorted
+        value tuples in lexicographic order."""
+        if i not in self._caps:
+            image = self._images[i]
+            good = []
+            for pattern in _anchored_cap_patterns():
+                vals = tuple(sorted(image[c] for c in pattern))
+                if packed_product(self.n, vals) == (1, 0):
+                    good.append(vals)
+            good.sort()
+            self._caps[i] = good
+            self._cap_masks[i] = [sum(1 << v for v in cap) for cap in good]
+        return self._caps[i]
+
+    def pair_ok(self, i: int, j: int) -> bool:
+        """Spans must meet in a line: exactly three common points."""
+        return (self._point_masks[i] & self._point_masks[j]).bit_count() == 3
+
+    def compat(self, i: int, j: int) -> Tuple[List[int], List[int]]:
+        """Pair compatibility between the cap lists of two Lagrangians
+        that meet in a line (see :meth:`pair_ok`).
+
+        Returns (masks, shared): masks[a] is a bitmask over caps(j) of
+        the caps sharing exactly the anchor plus one further point with
+        cap a of caps(i), and shared[a] is that further point: the point
+        of the meet line cap a holds (-1 when it holds none).
+        """
+        key = (i, j)
+        if key not in self._compat:
+            self.caps(i)
+            self.caps(j)
+            meet = (self._point_masks[i] & self._point_masks[j]) ^ (1 << self.anchor)
+            buckets: Dict[int, int] = {}
+            for b, cap in enumerate(self._cap_masks[j]):
+                held = cap & meet
+                if held:
+                    buckets[held] = buckets.get(held, 0) | 1 << b
+            masks: List[int] = []
+            shared: List[int] = []
+            for cap in self._cap_masks[i]:
+                held = cap & meet
+                masks.append(buckets.get(held, 0))
+                shared.append(held.bit_length() - 1)
+            self._compat[key] = (masks, shared)
+        return self._compat[key]
+
+    def rectangles(self, a: int, b: int, c: int, d: int) -> Iterator[Tuple[PackedContext, ...]]:
+        """Packed contexts of every rectangle on the 4-clique a < b < c < d.
+
+        The further point two caps share depends on either cap alone (see
+        :meth:`compat`), so each test that two of the six shared points
+        differ runs in the outermost loop fixing both.  A shared point
+        occurring twice would sit in three caps, breaking even
+        multiplicity.  Once they differ, the points of odd multiplicity
+        are the XOR of the four cap masks.
+        """
+        caps_a, caps_b, caps_c, caps_d = (self.caps(i) for i in (a, b, c, d))
+        masks_a, masks_b, masks_c, masks_d = (self._cap_masks[i] for i in (a, b, c, d))
+        ab_mask, ab_val = self.compat(a, b)
+        ac_mask, ac_val = self.compat(a, c)
+        ad_mask, ad_val = self.compat(a, d)
+        bc_mask, bc_val = self.compat(b, c)
+        bd_mask, bd_val = self.compat(b, d)
+        cd_mask, cd_val = self.compat(c, d)
+        for ia in range(len(caps_a)):
+            if not (ab_mask[ia] and ac_mask[ia] and ad_mask[ia]):
+                continue
+            s_ab, s_ac, s_ad = ab_val[ia], ac_val[ia], ad_val[ia]
+            if s_ac == s_ab or s_ad == s_ab or s_ad == s_ac:
+                continue
+            for ib in _bits(ab_mask[ia]):
+                s_bc, s_bd = bc_val[ib], bd_val[ib]
+                if s_bc == s_ab or s_bd == s_ab or s_bd == s_bc:
+                    continue
+                mask_c = ac_mask[ia] & bc_mask[ib]
+                if not mask_c:
+                    continue
+                mask_d0 = ad_mask[ia] & bd_mask[ib]
+                if not mask_d0:
+                    continue
+                odd_ab = masks_a[ia] ^ masks_b[ib]
+                for ic in _bits(mask_c):
+                    s_cd = cd_val[ic]
+                    if s_cd == s_ac or s_cd == s_bc:
+                        continue
+                    odd_abc = odd_ab ^ masks_c[ic]
+                    for id_ in _bits(mask_d0 & cd_mask[ic]):
+                        odd = tuple(_bits(odd_abc ^ masks_d[id_]))
+                        quads = (caps_a[ia], caps_b[ib], caps_c[ic], caps_d[id_])
+                        if _negative_affine(self.n, odd):
+                            yield tuple(tuple((v, 1) for v in ctx) for ctx in (*quads, odd))
+
+
 @pytest.mark.parametrize("word", ["IXII", "YYYY", "XIIZ"])
 def test_cap_table_matches_the_per_lagrangian_kernel(word):
-    walk = _RectangleWalk(pt(word))
+    walk = _ReferenceWalk(pt(word))
     assert len(walk.lagrangians) == 135
     for i, sub in enumerate(walk.lagrangians):
         assert walk.caps(i) == _reference_anchored_caps(sub, pt(word).value)
@@ -331,7 +476,7 @@ def test_cap_table_matches_the_per_lagrangian_kernel(word):
 @pytest.mark.parametrize("word", ["IXII", "YYYY"])
 def test_compat_buckets_match_the_popcount_definition(word):
     anchor = pt(word).value
-    walk = _RectangleWalk(pt(word))
+    walk = _ReferenceWalk(pt(word))
     cap_masks = [
         [sum(1 << v for v in cap) for cap in walk.caps(i)]
         for i in range(len(walk.lagrangians))
@@ -354,6 +499,94 @@ def test_compat_buckets_match_the_popcount_definition(word):
             if mask:
                 assert extra == {shared[a]}
     assert pairs == 3780
+
+
+def _cliques(walk) -> list:
+    """Every 4-clique of Lagrangians pairwise meeting in lines, in order."""
+    count = len(walk.lagrangians)
+    later = [
+        [j for j in range(i + 1, count) if walk.pair_ok(i, j)] for i in range(count)
+    ]
+    return [
+        (a, b, c, d)
+        for a in range(count)
+        for b in later[a]
+        for c in later[b]
+        if walk.pair_ok(a, c)
+        for d in later[c]
+        if walk.pair_ok(a, d) and walk.pair_ok(b, d)
+    ]
+
+
+@pytest.mark.parametrize("word, rectangles", [("IXII", 2560), ("YYYY", 2776), ("XIIZ", 3072)])
+def test_six_line_walk_matches_the_reference_walk(word, rectangles):
+    """rectangles() on every 40th 4-clique against the reference walk,
+    order included."""
+    walk, reference = _RectangleWalk(pt(word)), _ReferenceWalk(pt(word))
+    cliques = _cliques(walk)
+    assert len(cliques) == 137970
+    found = 0
+    for clique in cliques[::40]:
+        got = list(walk.rectangles(*clique))
+        assert got == list(reference.rectangles(*clique)), clique
+        found += len(got)
+    assert found == rectangles
+
+
+def _perp(anchor: int, points) -> list:
+    return [q for q in points if _commute(4, anchor, q)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), word=st.sampled_from(["IXII", "YYYY"]))
+def test_cap_matches_the_shape_and_sign_oracles(data, word):
+    """_cap(x, y, z) on commuting points of the anchor's perp against
+    classify_set and canonical_context_sign."""
+    anchor = pt(word).value
+    candidates = _perp(anchor, range(1, 256))
+    picks = []
+    for _ in range(3):
+        q = data.draw(st.sampled_from(candidates))
+        picks.append(q)
+        candidates = _perp(q, candidates)
+    values = [anchor, *picks, anchor ^ picks[0] ^ picks[1] ^ picks[2]]
+    expected = None
+    if 0 not in values and len(set(values)) == 5:
+        points = [SymplecticPoint.from_value(4, v) for v in values]
+        context = Context(tuple(from_symplectic(q) for q in points))
+        if (
+            classify_set(points).kind == KIND_ELLIPTIC_QUADRIC
+            and canonical_context_sign(context) == 1
+        ):
+            expected = tuple(sorted(values))
+    assert _RectangleWalk(pt(word))._cap(*picks) == expected
+
+
+def test_quadrics_are_the_anchor_and_one_point_per_meet_line():
+    """On the built-in pair and 50 raw results at IXII: the six span
+    meets of the quadric contexts are lines through the anchor, and each
+    quadric is the anchor, one further point of each of its three meet
+    lines, and their XOR."""
+    anchor = anchor_point()
+    configs = [magic_rectangle(), twin_rectangle()]
+    configs += find_magic_rectangles(rect_options(anchor_point=anchor, limit=50, dedup=False))
+    assert len(configs) == 52
+    for config in configs:
+        quads = [ctx.points() for ctx in config.contexts if len(ctx.observables) == 5]
+        assert len(quads) == 4
+        spans = [span(q) for q in quads]
+        picked: Dict[int, list] = {i: [] for i in range(4)}
+        for i, j in itertools.combinations(range(4), 2):
+            line = enumerate_points(intersect(spans[i], spans[j]))
+            assert len(line) == 3 and anchor in line
+            for k in (i, j):
+                held = [q for q in line if q != anchor and q in quads[k]]
+                assert len(held) == 1
+                picked[k].append(held[0].value)
+        for k, quad in enumerate(quads):
+            x, y, z = picked[k]
+            expected = {anchor.value, x, y, z, anchor.value ^ x ^ y ^ z}
+            assert {q.value for q in quad} == expected
 
 
 def test_lagrangians_two_qubits():
@@ -568,10 +801,6 @@ def test_rectangle_rejects_wrong_size():
         find_magic_rectangles(SearchOptions(qubit_count=2, shape="hc_rectangle"))
     with pytest.raises(ValueError, match="expects shape"):
         find_magic_rectangles(SearchOptions(qubit_count=4, shape="ovoid_census"))
-
-
-def test_cli_shape_alias():
-    assert find_hc_rectangles is find_magic_rectangles
 
 
 # ---------------------------------------------------------------------------
