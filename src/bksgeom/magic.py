@@ -48,14 +48,21 @@ class Context:
     Attributes:
         observables: the members, in the order given.  Valid contexts
             have mutually commuting members whose product is plus or
-            minus the identity; validity is checked by
-            :func:`validate_context`, not at construction.
+            minus the identity.  Validity is not checked at
+            construction but by :func:`validate_context` on the first
+            read of :attr:`canonical_sign`, once per object.
     """
 
     observables: Tuple[PauliObservable, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "observables", tuple(self.observables))
+
+    @cached_property
+    def canonical_sign(self) -> int:
+        """The canonical sign, from :func:`validate_context` on the first
+        read; a context that fails raises ContextError on every read."""
+        return validate_context(self)
 
     @classmethod
     def from_words(cls, words: Iterable[str]) -> "Context":
@@ -74,8 +81,10 @@ def validate_context(ctx: Context) -> int:
     """Raise ContextError unless the context is structurally valid, else
     return its canonical sign (see :func:`canonical_context_sign`).
 
-    The checks run on packed values; words are formatted only for the
-    error message.
+    Every call checks again; :attr:`Context.canonical_sign` keeps the
+    result, so a context is validated once per object, on its first use
+    by a configuration.  The checks run on packed values; words are
+    formatted only for the error message.
     """
     observables = ctx.observables
     if not observables:
@@ -106,7 +115,7 @@ def validate_context(ctx: Context) -> int:
 def context_sign(ctx: Context) -> int:
     """The sign of the product of the context members (+1 or -1): the
     canonical sign times the member signs."""
-    return math.prod((o.sign for o in ctx.observables), start=validate_context(ctx))
+    return math.prod((o.sign for o in ctx.observables), start=ctx.canonical_sign)
 
 
 def canonical_context_sign(ctx: Context) -> int:
@@ -115,7 +124,7 @@ def canonical_context_sign(ctx: Context) -> int:
     This is the sign a noncontextual assignment of the underlying points
     is constrained against; member signs cancel out of the constraint.
     """
-    return validate_context(ctx)
+    return ctx.canonical_sign
 
 
 def observable_key(obs: PauliObservable) -> tuple[int, int]:
@@ -132,12 +141,13 @@ def sorted_observables(ctx: Context) -> Tuple[PauliObservable, ...]:
 class MagicConfiguration:
     """A list of contexts over a common qubit count.
 
-    Every context is validated once, at construction, and the canonical
-    signs that validation returns are kept in ``canonical_signs`` (outside
-    equality and hashing).  An instance that exists is structurally sound;
-    the interesting question is whether it admits a noncontextual
-    assignment, answered by :func:`parity_witness` and
-    :func:`exhaustive_nchv_check`.
+    Every context is validated at construction by reading its
+    :attr:`Context.canonical_sign`, so a context object shared by several
+    configurations is validated once, by the first of them.  The signs
+    are kept in ``canonical_signs`` (outside equality and hashing).  An
+    instance that exists is structurally sound; the interesting question
+    is whether it admits a noncontextual assignment, answered by
+    :func:`parity_witness` and :func:`exhaustive_nchv_check`.
     """
 
     contexts: Tuple[Context, ...]
@@ -145,7 +155,7 @@ class MagicConfiguration:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "contexts", tuple(self.contexts))
-        signs = tuple(validate_context(ctx) for ctx in self.contexts)
+        signs = tuple(ctx.canonical_sign for ctx in self.contexts)
         object.__setattr__(self, "canonical_signs", signs)
         counts = {ctx.observables[0].n for ctx in self.contexts}
         if len(counts) > 1:

@@ -23,10 +23,12 @@ rectangle on a clique is fixed by one further point on each of the six
 meet lines: each cap is the anchor, the points picked on its three
 lines, and their sum.  Results stay packed, as contexts of (value,
 sign) pairs, through the twin map, canonical ordering and dedup; a
-MagicConfiguration is built only for a result that enters the list.
-They are emitted in (configuration, twin) pairs so that truncation by
-``limit`` never separates a configuration from its complement; an odd
-limit simply stops one pair earlier.
+MagicConfiguration is built only for a result that enters the list,
+and each distinct member and context of one search call is built, and
+each context validated, once.  Results are emitted in (configuration,
+twin) pairs so that truncation by ``limit`` never separates a
+configuration from its complement; an odd limit simply stops one pair
+earlier.
 """
 
 from __future__ import annotations
@@ -49,13 +51,14 @@ from .geometry import (
     span,
 )
 from .magic import (
+    Context,
     MagicConfiguration,
     PackedContext,
     config_from_packed,
     packed_contexts,
     twin_contexts,
 )
-from .pauli import packed_product
+from .pauli import PauliObservable, _from_packed, packed_product
 from .rectangle import anchor_point, magic_rectangle
 
 SHAPES = ("mermin_square", "hc_rectangle", "ovoid_census")
@@ -130,8 +133,11 @@ def canonical_config(config: MagicConfiguration) -> MagicConfiguration:
 class _Emitter:
     """Collects results up to a limit with optional canonical dedup.
 
-    Groups arrive as packed contexts; a MagicConfiguration (validated on
-    construction) is built only for a result that enters the list.
+    Groups arrive as packed contexts; a MagicConfiguration is built only
+    for a result that enters the list.  Within one emitter each distinct
+    (value, sign) member and each distinct packed context becomes one
+    frozen object, shared by every result that holds it, so a context is
+    validated once however many results share it.
     """
 
     def __init__(self, n: int, limit: int, dedup: bool):
@@ -140,6 +146,17 @@ class _Emitter:
         self.dedup = dedup
         self.results: List[MagicConfiguration] = []
         self._seen: set = set()
+        self._members: Dict[Tuple[int, int], PauliObservable] = {}
+        self._contexts: Dict[PackedContext, Context] = {}
+
+    def _context(self, packed: PackedContext) -> Context:
+        """The one Context of a packed context, built on its first use."""
+        if packed not in self._contexts:
+            for member in packed:
+                if member not in self._members:
+                    self._members[member] = _from_packed(self.n, *member)
+            self._contexts[packed] = Context(tuple(self._members[m] for m in packed))
+        return self._contexts[packed]
 
     @property
     def full(self) -> bool:
@@ -156,7 +173,7 @@ class _Emitter:
             for contexts in group:
                 if self.full:
                     return False
-                self.results.append(config_from_packed(self.n, contexts))
+                self.results.append(MagicConfiguration(tuple(map(self._context, contexts))))
             return not self.full
         fresh = []
         for contexts in group:
@@ -169,7 +186,7 @@ class _Emitter:
             return False
         for key in fresh:
             self._seen.add(key)
-            self.results.append(config_from_packed(self.n, key))
+            self.results.append(MagicConfiguration(tuple(map(self._context, key))))
         return not self.full
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bksgeom import magic
 from bksgeom.classify import KIND_LINE, projective_closure
 from bksgeom.cli import main
 from bksgeom.geometry import SymplecticPoint, enumerate_points
@@ -158,9 +159,10 @@ def _context(draw) -> Context:
 def test_validate_context_matches_the_object_level_reference(ctx):
     outcome = _outcome(validate_context, ctx)
     assert outcome == _outcome(_reference_validate, ctx)
+    assert _outcome(lambda c: c.canonical_sign, ctx) == outcome
     if outcome is None:
         stripped = [PauliObservable(o.n, o.x, o.z) for o in ctx.observables]
-        assert validate_context(ctx) == product_of_set(stripped).sign
+        assert validate_context(ctx) == ctx.canonical_sign == product_of_set(stripped).sign
 
 
 def test_negative_identity_context_is_valid():
@@ -200,6 +202,23 @@ def test_configuration_validates_contexts_on_construction():
         MagicConfiguration.from_words([("XIII", "ZIII", "YIII")])
     with pytest.raises(ContextError, match="contexts mix qubit counts"):
         MagicConfiguration.from_words([("XI", "XI"), ("X", "X")])
+
+
+def test_context_is_validated_once_and_a_failure_is_never_kept(monkeypatch):
+    calls = []
+    validate = magic.validate_context
+    monkeypatch.setattr(magic, "validate_context", lambda ctx: calls.append(ctx) or validate(ctx))
+    bad = Context.from_words(("XIII", "ZIII", "YIII"))
+    for _ in range(2):
+        with pytest.raises(ContextError, match="do not commute"):
+            MagicConfiguration((bad,))
+    assert len(calls) == 2
+    good = Context.from_words(CONTEXT_WORDS[4])
+    first, second = MagicConfiguration((good,)), MagicConfiguration((good, good))
+    assert len(calls) == 3 and calls[2] is good
+    assert first.canonical_signs == (-1,) and second.canonical_signs == (-1, -1)
+    assert canonical_context_sign(good) == -1 and context_sign(good) == -1
+    assert len(calls) == 3
 
 
 def test_universe_is_sorted_and_deduplicated():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bksgeom import _kernels
+from bksgeom import _kernels, magic
 from bksgeom.classify import (
     KIND_AFFINE_PLANE,
     KIND_ELLIPTIC_QUADRIC,
@@ -981,6 +981,23 @@ def test_emission_matches_recorded_digest(name):
     results = find_magic_rectangles(rect_options(**kw))
     assert len(results) == kw["limit"]
     assert _result_digest(results) == digest
+
+
+def test_warm_search_builds_and_validates_each_distinct_context_once(monkeypatch):
+    options = rect_options(anchor_point=pt("YYYY"), limit=1000)
+    find_magic_rectangles(options)
+    calls = []
+    validate = magic.validate_context
+    monkeypatch.setattr(magic, "validate_context", lambda ctx: calls.append(ctx) or validate(ctx))
+    results = find_magic_rectangles(options)
+    assert len(results) == 1000
+    assert len(calls) == len({ctx for config in results for ctx in packed_contexts(config)}) == 1372
+    members = {}
+    for config in results:
+        for ctx in config.contexts:
+            for obs in ctx.observables:
+                assert members.setdefault((obs.value, obs.sign), obs) is obs
+    assert len(members) == 183
 
 
 @pytest.mark.parametrize("word", ["IXII", "XIIZ", "YYYY"])
