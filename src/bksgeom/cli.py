@@ -23,17 +23,19 @@ optional ``name:`` line opens a block:
     IXII
     ...
 
-Reports print as text by default; ``--json`` selects a stable JSON
-schema with observables as strings.
+Each command builds one JSON-ready block and returns it with its text
+renderer and exit code; ``main`` prints the block once, as text by
+default or under ``--json`` as a stable JSON schema with observables as
+strings.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .classify import classify_set
 from .geometry import SymplecticPoint, enumerate_points, is_totally_isotropic, span
@@ -42,6 +44,7 @@ from .magic import (
     ContextError,
     MagicConfiguration,
     complement_config,
+    context_sign,
     intersection_lines,
     parity_witness,
     shared_point,
@@ -57,6 +60,7 @@ from .pauli import (
 )
 from .rectangle import CONTEXT_NAMES, anchor_point, magic_rectangle
 from .search import (
+    SHAPES,
     SearchOptions,
     cap_census,
     find_magic_rectangles,
@@ -121,33 +125,50 @@ def read_config_file(
     return config, names
 
 
+def _words(ctx: Context) -> List[str]:
+    """The members of a context as words, in canonical order."""
+    return [format_observable(o) for o in sorted_observables(ctx)]
+
+
+def _named_contexts(
+    contexts: Sequence[Context], names: Sequence[Optional[str]]
+) -> List[Dict]:
+    """One ``name``/``observables`` entry per context."""
+    return [
+        {"name": name, "observables": _words(ctx)}
+        for ctx, name in zip(contexts, names)
+    ]
+
+
+def _block_text(entries: Sequence[Dict]) -> str:
+    """Named contexts in the block file format."""
+    chunks = []
+    for entry in entries:
+        header = [f"name: {entry['name']}"] if entry["name"] else []
+        chunks.append("\n".join(header + entry["observables"]))
+    return "\n\n".join(chunks) + "\n"
+
+
 def emit_config_text(
     config: MagicConfiguration, names: Sequence[Optional[str]]
 ) -> str:
     """Render a configuration in the block file format, members in
     canonical order, context sequence preserved."""
-    chunks = []
-    for ctx, name in zip(config.contexts, names):
-        lines = []
-        if name:
-            lines.append(f"name: {name}")
-        lines.extend(format_observable(o) for o in sorted_observables(ctx))
-        chunks.append("\n".join(lines))
-    return "\n\n".join(chunks) + "\n"
+    return _block_text(_named_contexts(config.contexts, names))
 
 
 # ---------------------------------------------------------------------------
 # reports
 
 
-def _context_entry(ctx: Context, canonical_sign: int, name: Optional[str]) -> Dict:
-    """One report entry; its sign is the kept canonical sign times the member signs."""
+def _context_entry(ctx: Context, name: Optional[str]) -> Dict:
+    """One report entry: the context's words, sign and geometry."""
     pts = ctx.points()
     distinct = list(dict.fromkeys(pts))
     entry: Dict = {
         "name": name,
-        "observables": [format_observable(o) for o in sorted_observables(ctx)],
-        "sign": math.prod((o.sign for o in ctx.observables), start=canonical_sign),
+        "observables": _words(ctx),
+        "sign": context_sign(ctx),
     }
     if distinct:
         sub = span(distinct)
@@ -171,10 +192,7 @@ def build_report(
 ) -> Tuple[Dict, int]:
     """The full verification report and its exit code."""
     report: Dict = {"qubits": config.n}
-    report["contexts"] = [
-        _context_entry(ctx, sign, name)
-        for ctx, sign, name in zip(config.contexts, config.canonical_signs, names)
-    ]
+    report["contexts"] = list(map(_context_entry, config.contexts, names))
     report["multiplicities"] = {
         point_word(p): config.multiplicities[p]
         for p in sorted(config.multiplicities, key=lambda q: q.value)
@@ -203,28 +221,15 @@ def build_report(
                 }
             )
     report["lines"] = lines
+    report["shared_point"] = report["twin"] = None
     try:
         pivot = shared_point(config)
         report["shared_point"] = point_word(pivot)
+        twin = complement_config(config, pivot)
+        twin_names = [f"{name}'" if name else None for name in names]
+        report["twin"] = _named_contexts(twin.contexts, twin_names)
     except ContextError:
-        pivot = None
-        report["shared_point"] = None
-    twin_block = None
-    if pivot is not None:
-        try:
-            twin = complement_config(config, pivot)
-            twin_block = [
-                {
-                    "name": f"{name}'" if name else None,
-                    "observables": [
-                        format_observable(o) for o in sorted_observables(ctx)
-                    ],
-                }
-                for ctx, name in zip(twin.contexts, names)
-            ]
-        except ContextError:
-            twin_block = None
-    report["twin"] = twin_block
+        pass
     return report, code
 
 
@@ -234,23 +239,34 @@ _VERDICT_TEXT = {
 }
 
 
+def _title(entry: Dict) -> str:
+    """An entry's name (or "context") and its words."""
+    return f"{entry['name'] or 'context'}: {' '.join(entry['observables'])}"
+
+
+def _isotropy(entry: Dict) -> str:
+    return "totally isotropic" if entry["totally_isotropic"] else "not isotropic"
+
+
+def _entry_lines(entry: Dict, facts: str) -> List[str]:
+    """A context entry as text: its words, the facts line, its detail
+    and its closure."""
+    out = [_title(entry), f"  {facts}"]
+    if entry.get("classification_detail"):
+        out.append(f"  detail: {entry['classification_detail']}")
+    if entry["closure_points"]:
+        out.append(f"  closure: {' '.join(entry['closure_points'])}")
+    return out
+
+
 def render_report(report: Dict) -> str:
     out = []
     out.append(f"qubits: {report['qubits']}")
     for entry in report["contexts"]:
-        title = entry["name"] or "context"
         sign = "+1" if entry["sign"] > 0 else "-1"
-        out.append(f"\n{title}: {' '.join(entry['observables'])}")
         kind = entry["classification"] or "empty"
-        out.append(
-            f"  sign {sign}, rank {entry['rank']}, "
-            f"{'totally isotropic' if entry['totally_isotropic'] else 'not isotropic'}, "
-            f"{kind}"
-        )
-        if entry.get("classification_detail"):
-            out.append(f"  detail: {entry['classification_detail']}")
-        if "closure_points" in entry and entry["closure_points"]:
-            out.append(f"  closure: {' '.join(entry['closure_points'])}")
+        facts = f"sign {sign}, rank {entry['rank']}, {_isotropy(entry)}, {kind}"
+        out.extend(["", *_entry_lines(entry, facts)])
     out.append("\nmultiplicities:")
     for word, count in report["multiplicities"].items():
         out.append(f"  {word}: {count}")
@@ -270,66 +286,43 @@ def render_report(report: Dict) -> str:
     out.append(f"shared point: {report['shared_point'] or 'none'}")
     if report["twin"]:
         out.append("\ntwin:")
-        for entry in report["twin"]:
-            title = entry["name"] or "context"
-            out.append(f"  {title}: {' '.join(entry['observables'])}")
+        out.extend(f"  {_title(entry)}" for entry in report["twin"])
     return "\n".join(out) + "\n"
 
 
-def _print(report: Dict, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(render_report(report), end="")
-
-
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns (block, render, exit code); main prints the block
+# as JSON under --json and as render(block) otherwise.
+
+Outcome = Tuple[Dict, Callable[[Dict], str], int]
 
 
-def cmd_reproduce(args: argparse.Namespace) -> int:
-    config = magic_rectangle()
-    report, code = build_report(config, CONTEXT_NAMES)
-    _print(report, args.json)
-    return code
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
-    config, names = read_config_file(args.file)
-    report, code = build_report(config, names)
-    _print(report, args.json)
-    return code
-
-
-def cmd_classify(args: argparse.Namespace) -> int:
-    config, names = read_config_file(args.file)
-    entries = [
-        _context_entry(ctx, sign, name)
-        for ctx, sign, name in zip(config.contexts, config.canonical_signs, names)
-    ]
-    counts: Dict[str, int] = {}
-    for entry in entries:
-        kind = entry["classification"] or "empty"
-        counts[kind] = counts.get(kind, 0) + 1
-    summary = ", ".join(f"{kind} x{c}" for kind, c in sorted(counts.items()))
-    report = {"qubits": config.n, "contexts": entries, "summary": summary}
-    if args.json:
-        print(json.dumps(report, indent=2))
+def cmd_report(args: argparse.Namespace) -> Outcome:
+    """``reproduce`` (the built-in rectangle) and ``verify FILE``."""
+    if args.command == "reproduce":
+        config, names = magic_rectangle(), CONTEXT_NAMES
     else:
-        for entry in entries:
-            title = entry["name"] or "context"
-            kind = entry["classification"] or "empty"
-            print(f"{title}: {' '.join(entry['observables'])}")
-            print(
-                f"  {kind}, rank {entry['rank']}, "
-                f"{'totally isotropic' if entry['totally_isotropic'] else 'not isotropic'}"
-            )
-            if entry.get("classification_detail"):
-                print(f"  detail: {entry['classification_detail']}")
-            if entry["closure_points"]:
-                print(f"  closure: {' '.join(entry['closure_points'])}")
-        print(f"summary: {summary}")
-    return 0
+        config, names = read_config_file(args.file)
+    report, code = build_report(config, names)
+    return report, render_report, code
+
+
+def _render_classify(block: Dict) -> str:
+    out = []
+    for entry in block["contexts"]:
+        kind = entry["classification"] or "empty"
+        out.extend(_entry_lines(entry, f"{kind}, rank {entry['rank']}, {_isotropy(entry)}"))
+    out.append(f"summary: {block['summary']}")
+    return "\n".join(out) + "\n"
+
+
+def cmd_classify(args: argparse.Namespace) -> Outcome:
+    config, names = read_config_file(args.file)
+    entries = list(map(_context_entry, config.contexts, names))
+    counts = Counter(entry["classification"] or "empty" for entry in entries)
+    summary = ", ".join(f"{kind} x{c}" for kind, c in sorted(counts.items()))
+    block = {"qubits": config.n, "contexts": entries, "summary": summary}
+    return block, _render_classify, 0
 
 
 def _parse_anchor(word: str) -> SymplecticPoint:
@@ -339,28 +332,19 @@ def _parse_anchor(word: str) -> SymplecticPoint:
     return to_symplectic(obs)
 
 
-def cmd_complement(args: argparse.Namespace) -> int:
+def _render_complement(block: Dict) -> str:
+    return f"# complement through {block['point']}\n" + _block_text(block["contexts"])
+
+
+def cmd_complement(args: argparse.Namespace) -> Outcome:
     config, names = read_config_file(args.file)
     pivot = _parse_anchor(args.point)
     twin = complement_config(config, pivot)
-    if args.json:
-        block = {
-            "point": point_word(pivot),
-            "contexts": [
-                {
-                    "name": name,
-                    "observables": [
-                        format_observable(o) for o in sorted_observables(ctx)
-                    ],
-                }
-                for ctx, name in zip(twin.contexts, names)
-            ],
-        }
-        print(json.dumps(block, indent=2))
-    else:
-        print(f"# complement through {point_word(pivot)}")
-        print(emit_config_text(twin, names), end="")
-    return 0
+    block = {
+        "point": point_word(pivot),
+        "contexts": _named_contexts(twin.contexts, names),
+    }
+    return block, _render_complement, 0
 
 
 def _search_options(args: argparse.Namespace) -> SearchOptions:
@@ -383,78 +367,65 @@ def _search_options(args: argparse.Namespace) -> SearchOptions:
     )
 
 
-def cmd_search(args: argparse.Namespace) -> int:
+def _render_census(block: Dict) -> str:
+    out = []
+    for amb in block["ambients"]:
+        out.append(f"ambient {' '.join(amb['basis'])}: {amb['count']} caps")
+        out.extend(f"  {' '.join(cap)}" for cap in amb["caps"])
+    return "".join(line + "\n" for line in out)
+
+
+def _render_results(block: Dict) -> str:
+    out = [
+        f"{block['count']} result(s) for shape {block['shape']} "
+        f"at {block['qubits']} qubits"
+    ]
+    for idx, result in enumerate(block["results"], start=1):
+        out.append(f"\nresult {idx}:")
+        out.extend(f"  {' '.join(ctx['observables'])}" for ctx in result["contexts"])
+    return "\n".join(out) + "\n"
+
+
+def cmd_search(args: argparse.Namespace) -> Outcome:
     options = _search_options(args)
+    head = {
+        "shape": options.shape,
+        "qubits": options.qubit_count,
+        "anchor": point_word(options.anchor_point) if options.anchor_point else None,
+    }
     if options.shape == "ovoid_census":
-        census = cap_census(options)
-        block = {
-            "shape": options.shape,
-            "qubits": options.qubit_count,
-            "anchor": point_word(options.anchor_point)
-            if options.anchor_point
-            else None,
-            "ambients": [
-                {
-                    "basis": [
-                        point_word(SymplecticPoint.from_value(sub.n, row))
-                        for row in sub.rows
-                    ],
-                    "count": len(caps),
-                    "caps": [
-                        [point_word(p) for p in cap]
-                        for cap in caps[: options.limit]
-                    ],
-                }
-                for sub, caps in census
-            ],
-        }
-        if args.json:
-            print(json.dumps(block, indent=2))
-        else:
-            for amb in block["ambients"]:
-                print(f"ambient {' '.join(amb['basis'])}: {amb['count']} caps")
-                for cap in amb["caps"]:
-                    print(f"  {' '.join(cap)}")
-        return 0
+        ambients = [
+            {
+                "basis": [
+                    point_word(SymplecticPoint.from_value(sub.n, row))
+                    for row in sub.rows
+                ],
+                "count": len(caps),
+                "caps": [
+                    [point_word(p) for p in cap] for cap in caps[: options.limit]
+                ],
+            }
+            for sub, caps in cap_census(options)
+        ]
+        return {**head, "ambients": ambients}, _render_census, 0
     if options.shape == "mermin_square":
         results = find_mermin_squares(options)
     else:
         results = find_magic_rectangles(options)
+    # Results share their context objects, so each distinct one is
+    # rendered once and its entry shared.
+    distinct = {id(ctx): ctx for config in results for ctx in config.contexts}
+    entries = {key: {"observables": _words(ctx)} for key, ctx in distinct.items()}
     block = {
-        "shape": options.shape,
-        "qubits": options.qubit_count,
-        "anchor": point_word(options.anchor_point)
-        if options.anchor_point
-        else None,
+        **head,
         "limit": options.limit,
         "count": len(results),
         "results": [
-            {
-                "contexts": [
-                    {
-                        "observables": [
-                            format_observable(o)
-                            for o in sorted_observables(ctx)
-                        ]
-                    }
-                    for ctx in config.contexts
-                ]
-            }
+            {"contexts": [entries[id(ctx)] for ctx in config.contexts]}
             for config in results
         ],
     }
-    if args.json:
-        print(json.dumps(block, indent=2))
-    else:
-        print(
-            f"{block['count']} result(s) for shape {options.shape} "
-            f"at {options.qubit_count} qubits"
-        )
-        for idx, result in enumerate(block["results"], start=1):
-            print(f"\nresult {idx}:")
-            for ctx in result["contexts"]:
-                print(f"  {' '.join(ctx['observables'])}")
-    return 0
+    return block, _render_results, 0
 
 
 # ---------------------------------------------------------------------------
@@ -469,38 +440,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("reproduce", help="emit the built-in rectangle analysis")
-    p.add_argument("--json", action="store_true", help="JSON output")
-    p.set_defaults(handler=cmd_reproduce)
+    p.set_defaults(handler=cmd_report)
 
     p = sub.add_parser("verify", help="certify a configuration file")
     p.add_argument("file")
-    p.add_argument("--json", action="store_true", help="JSON output")
-    p.set_defaults(handler=cmd_verify)
+    p.set_defaults(handler=cmd_report)
 
     p = sub.add_parser("classify", help="classify each context's point set")
     p.add_argument("file")
-    p.add_argument("--json", action="store_true", help="JSON output")
     p.set_defaults(handler=cmd_classify)
 
     p = sub.add_parser("complement", help="emit the twin through a point")
     p.add_argument("file")
     p.add_argument("--point", required=True, metavar="WORD")
-    p.add_argument("--json", action="store_true", help="JSON output")
     p.set_defaults(handler=cmd_complement)
 
     p = sub.add_parser("search", help="search for magic configurations")
     p.add_argument("--qubits", type=int, required=True)
-    p.add_argument(
-        "--shape",
-        required=True,
-        choices=("mermin_square", "hc_rectangle", "ovoid_census"),
-    )
+    p.add_argument("--shape", required=True, choices=SHAPES)
     p.add_argument("--anchor", metavar="WORD", default=None)
     p.add_argument("--limit", type=int, default=4, metavar="K")
     p.add_argument("--no-dedup", action="store_true", help="raw result stream")
-    p.add_argument("--json", action="store_true", help="JSON output")
     p.set_defaults(handler=cmd_search)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="JSON output")
     return parser
 
 
@@ -508,7 +472,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        block, render, code = args.handler(args)
     except (ParseError, OSError, UnicodeDecodeError) as exc:
         # UnicodeDecodeError is a ValueError, so it must be caught before
         # the exit-2 handler below: a file that is not UTF-8 is an I/O error.
@@ -517,6 +481,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    text = json.dumps(block, indent=2) + "\n" if args.json else render(block)
+    print(text, end="")
+    return code
 
 
 def main_entry() -> None:

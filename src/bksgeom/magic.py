@@ -60,7 +60,9 @@ class Context:
 
     @cached_property
     def canonical_sign(self) -> int:
-        """The canonical sign, from :func:`validate_context` on the first
+        """The product sign with every member stripped to its +1 form: the
+        sign a noncontextual assignment of the points is constrained
+        against.  It comes from :func:`validate_context` on the first
         read; a context that fails raises ContextError on every read."""
         return validate_context(self)
 
@@ -79,7 +81,7 @@ class Context:
 
 def validate_context(ctx: Context) -> int:
     """Raise ContextError unless the context is structurally valid, else
-    return its canonical sign (see :func:`canonical_context_sign`).
+    return its canonical sign (see :attr:`Context.canonical_sign`).
 
     Every call checks again; :attr:`Context.canonical_sign` keeps the
     result, so a context is validated once per object, on its first use
@@ -116,15 +118,6 @@ def context_sign(ctx: Context) -> int:
     """The sign of the product of the context members (+1 or -1): the
     canonical sign times the member signs."""
     return math.prod((o.sign for o in ctx.observables), start=ctx.canonical_sign)
-
-
-def canonical_context_sign(ctx: Context) -> int:
-    """The product sign after stripping every member to its +1 representative.
-
-    This is the sign a noncontextual assignment of the underlying points
-    is constrained against; member signs cancel out of the constraint.
-    """
-    return ctx.canonical_sign
 
 
 def observable_key(obs: PauliObservable) -> tuple[int, int]:

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import _kernels
-from .classify import KIND_GRID, classify_set
 from .geometry import (
     MAX_QUBITS,
     Subspace,
@@ -307,12 +306,11 @@ def find_mermin_squares(options: SearchOptions) -> List[MagicConfiguration]:
     emitter = _Emitter(n, options.limit, options.dedup)
     for nineset in sorted(partitions, key=lambda s: sorted(s)):
         parts = partitions[nineset]
+        # Two partitions share no line, so each line of one meets each
+        # line of the other in one point: every pair is a 3x3 grid.
         if len(parts) < 2:
             continue
-        pts = [SymplecticPoint.from_value(n, v) for v in sorted(nineset)]
-        if classify_set(pts).kind != KIND_GRID:
-            continue
-        if options.anchor_point is not None and options.anchor_point not in pts:
+        if options.anchor_point is not None and options.anchor_point.value not in nineset:
             continue
         for rows, cols in itertools.combinations(parts, 2):
             lines = rows + cols

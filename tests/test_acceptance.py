@@ -36,7 +36,6 @@ from bksgeom.geometry import (
 )
 from bksgeom.magic import (
     MagicConfiguration,
-    canonical_context_sign,
     complement_config,
     context_sign,
     exhaustive_nchv_check,

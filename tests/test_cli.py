@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import contextlib
+import hashlib
 import importlib.metadata
 import io
 import json
@@ -13,12 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bksgeom.cli
 import bksgeom.magic
 from bksgeom.cli import build_report, emit_config_text, main, parse_config_text, read_config_file
 from bksgeom.magic import Context, MagicConfiguration
 from bksgeom.geometry import SymplecticPoint, _rref, _span_values, packed_form, reduce_row
-from bksgeom.pauli import ParseError, point_word
+from bksgeom.pauli import ParseError, format_observable, point_word
 from bksgeom.rectangle import CONTEXT_NAMES, CONTEXT_WORDS, TWIN_CONTEXT_WORDS, magic_rectangle
+from bksgeom.search import find_magic_rectangles
 
 RECT_FILE = """\
 # four-qubit rectangle
@@ -57,6 +60,15 @@ XXZZ
 XXXX
 """
 
+# Files that the pinned commands below read, by name; missing.txt is
+# absent on purpose.
+CONFIG_FILES = {
+    "rect.txt": RECT_FILE,
+    "partial.txt": "\n\n".join("\n".join(words) for words in CONTEXT_WORDS[:4]) + "\n",
+    "noncommuting.txt": "ZIII\nXIII\n",
+    "badword.txt": "ZIII\nZQII\n",
+}
+
 
 @pytest.fixture
 def rect_path(tmp_path):
@@ -67,11 +79,8 @@ def rect_path(tmp_path):
 
 @pytest.fixture
 def partial_path(tmp_path):
-    blocks = []
-    for words in CONTEXT_WORDS[:4]:
-        blocks.append("\n".join(words))
     path = tmp_path / "partial.txt"
-    path.write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
+    path.write_text(CONFIG_FILES["partial.txt"], encoding="utf-8")
     return str(path)
 
 
@@ -454,6 +463,80 @@ def test_search_bad_limit_exits_2(capsys):
     )
     assert code == 2
     assert "limit" in capsys.readouterr().err
+
+
+def test_search_formats_each_distinct_context_once(monkeypatch, capsys):
+    """Search results share their context objects, so the output formats
+    the members of each distinct context once, not once per result."""
+    formatted = []
+    found = []
+
+    def counting(obs):
+        formatted.append(obs)
+        return format_observable(obs)
+
+    def recording(options):
+        found.extend(find_magic_rectangles(options))
+        return found
+
+    monkeypatch.setattr(bksgeom.cli, "format_observable", counting)
+    monkeypatch.setattr(bksgeom.cli, "find_magic_rectangles", recording)
+    code = main(["search", "--qubits", "4", "--shape", "hc_rectangle", "--limit", "1000"])
+    capsys.readouterr()
+    assert code == 0 and len(found) == 1000
+    distinct = {id(ctx): ctx for config in found for ctx in config.contexts}
+    assert len(formatted) == sum(len(ctx.observables) for ctx in distinct.values())
+
+
+# ---------------------------------------------------------------------------
+# pinned output
+
+# sha256 prefix of stdout and the exit code of each command, recorded
+# before the commands moved to one output path in main.
+CLI_DIGESTS = {
+    "reproduce": ("5e0bab24d3e868213319", 0),
+    "verify rect.txt": ("5e0bab24d3e868213319", 0),
+    "verify partial.txt": ("57ea95eb888236ea3c7d", 1),
+    "classify rect.txt": ("8ce9d0bc604f606f1f12", 0),
+    "classify partial.txt": ("4a89bd0ce7c66bf7b6d4", 0),
+    "complement rect.txt --point IXII": ("eb5797159ccff14ee58d", 0),
+    "search --qubits 2 --shape mermin_square --limit 10": ("f03d887405a82a260af3", 0),
+    "search --qubits 4 --shape hc_rectangle --limit 4": ("ff1c77f9e147ce77fc74", 0),
+    "search --qubits 4 --shape ovoid_census --anchor IXII": ("c643a9b117ce4876bb34", 0),
+    "reproduce --json": ("d02bbe062e085df90f9b", 0),
+    "verify rect.txt --json": ("d02bbe062e085df90f9b", 0),
+    "verify partial.txt --json": ("9b4ac5c1dc26e96f6baf", 1),
+    "classify rect.txt --json": ("6b1f21b5d6c76454bf44", 0),
+    "classify partial.txt --json": ("9b48b25a5647669e90ef", 0),
+    "complement rect.txt --point IXII --json": ("109ff19e8398b6915ffb", 0),
+    "search --qubits 2 --shape mermin_square --limit 10 --json": ("45b2f714551a07cf06a6", 0),
+    "search --qubits 4 --shape hc_rectangle --limit 4 --json": ("5154cccba5522229504e", 0),
+    "search --qubits 4 --shape ovoid_census --anchor IXII --json": ("e5d30fc8d87f24ebc4fe", 0),
+    "verify noncommuting.txt": ("e3b0c44298fc1c149afb", 2),
+    "verify badword.txt": ("e3b0c44298fc1c149afb", 3),
+    "verify missing.txt": ("e3b0c44298fc1c149afb", 3),
+    "complement rect.txt --point IIII": ("e3b0c44298fc1c149afb", 2),
+    "complement rect.txt --point YIII": ("e3b0c44298fc1c149afb", 2),
+    "search --qubits 2 --shape mermin_square --limit 50 --no-dedup": ("77782d9f365fa9ea8258", 0),
+    "search --qubits 4 --shape hc_rectangle --limit 6 --no-dedup": ("641ccfdc0c14ae8bc130", 0),
+    "search --qubits 2 --shape ovoid_census --limit 200": ("81ecf077c68a66ec8ec7", 0),
+    "search --qubits 2 --shape ovoid_census --limit 200 --json": ("0262dff2b3b18f978514", 0),
+    "search --qubits 3 --shape ovoid_census": ("e3b0c44298fc1c149afb", 2),
+    "search --qubits 4 --shape hc_rectangle --anchor YYYY": ("bf8a3009fd001da7426c", 0),
+    "search --qubits 4 --shape hc_rectangle --anchor XIIZ --json": ("e8703badc5d55801cead", 0),
+    "search --qubits 4 --shape hc_rectangle --anchor YIII": ("e3b0c44298fc1c149afb", 2),
+    "search --qubits 4 --shape hc_rectangle --limit 0": ("e3b0c44298fc1c149afb", 2),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_DIGESTS))
+def test_cli_output_matches_recorded_digest(command, tmp_path, monkeypatch, capsys):
+    for name, text in CONFIG_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code = main(command.split())
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:20]
+    assert (digest, code) == CLI_DIGESTS[command]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from bksgeom.magic import (
     Context,
     ContextError,
     MagicConfiguration,
-    canonical_context_sign,
     complement_config,
     context_sign,
     exhaustive_nchv_check,
@@ -64,7 +63,7 @@ MERMIN_SQUARE = (
 def test_builtin_context_signs():
     rect = magic_rectangle()
     assert [context_sign(c) for c in rect.contexts] == [1, 1, 1, 1, -1]
-    assert [canonical_context_sign(c) for c in rect.contexts] == [1, 1, 1, 1, -1]
+    assert [c.canonical_sign for c in rect.contexts] == [1, 1, 1, 1, -1]
 
 
 def test_validate_rejects_noncommuting():
@@ -169,7 +168,7 @@ def test_negative_identity_context_is_valid():
     ctx = Context.from_words(("-II",))
     validate_context(ctx)
     assert context_sign(ctx) == -1
-    assert canonical_context_sign(ctx) == 1
+    assert ctx.canonical_sign == 1
     assert ctx.points() == ()
 
 
@@ -178,7 +177,7 @@ def test_canonical_sign_ignores_member_signs():
     flipped = Context.from_words(("-ZXZX", "ZXXZ", "-XXZZ", "XXXX"))
     assert context_sign(plain) == -1
     assert context_sign(flipped) == -1 * (-1) * (-1)
-    assert canonical_context_sign(plain) == canonical_context_sign(flipped) == -1
+    assert plain.canonical_sign == flipped.canonical_sign == -1
 
 
 def test_sorted_observables_order():
@@ -217,7 +216,7 @@ def test_context_is_validated_once_and_a_failure_is_never_kept(monkeypatch):
     first, second = MagicConfiguration((good,)), MagicConfiguration((good, good))
     assert len(calls) == 3 and calls[2] is good
     assert first.canonical_signs == (-1,) and second.canonical_signs == (-1, -1)
-    assert canonical_context_sign(good) == -1 and context_sign(good) == -1
+    assert good.canonical_sign == -1 and context_sign(good) == -1
     assert len(calls) == 3
 
 
@@ -349,7 +348,7 @@ def test_parity_soundness_on_mutated_configurations():
                 prod = 1
                 for p in ctx.points():
                     prod *= witness[p]
-                assert prod == canonical_context_sign(ctx)
+                assert prod == ctx.canonical_sign
 
 
 def brute_least_witness(config):
@@ -361,7 +360,7 @@ def brute_least_witness(config):
         mask = 0
         for p in ctx.points():
             mask ^= 1 << index[p]
-        rows.append((mask, 1 if canonical_context_sign(ctx) == -1 else 0))
+        rows.append((mask, 1 if ctx.canonical_sign == -1 else 0))
     for v in range(1 << len(universe)):
         if all(bin(v & mask).count("1") % 2 == odd for mask, odd in rows):
             return {p: -1 if (v >> i) & 1 else 1 for i, p in enumerate(universe)}

@@ -25,6 +25,7 @@ from bksgeom.geometry import (
     enumerate_points,
     intersect,
     is_totally_isotropic,
+    packed_form,
     span,
     subspace_sum,
 )
@@ -33,7 +34,6 @@ from bksgeom.magic import (
     PackedContext,
     ContextError,
     MagicConfiguration,
-    canonical_context_sign,
     complement_config,
     config_from_packed,
     observable_key,
@@ -541,7 +541,7 @@ def _perp(anchor: int, points) -> list:
 @given(data=st.data(), word=st.sampled_from(["IXII", "YYYY"]))
 def test_cap_matches_the_shape_and_sign_oracles(data, word):
     """_cap(x, y, z) on commuting points of the anchor's perp against
-    classify_set and canonical_context_sign."""
+    classify_set and Context.canonical_sign."""
     anchor = pt(word).value
     candidates = _perp(anchor, range(1, 256))
     picks = []
@@ -556,7 +556,7 @@ def test_cap_matches_the_shape_and_sign_oracles(data, word):
         context = Context(tuple(from_symplectic(q) for q in points))
         if (
             classify_set(points).kind == KIND_ELLIPTIC_QUADRIC
-            and canonical_context_sign(context) == 1
+            and context.canonical_sign == 1
         ):
             expected = tuple(sorted(values))
     assert _RectangleWalk(pt(word))._cap(*picks) == expected
@@ -619,7 +619,7 @@ def test_mermin_square_count_and_properties():
         cert = parity_witness(config)
         assert cert.certified
         negatives = sum(
-            1 for ctx in config.contexts if canonical_context_sign(ctx) == -1
+            1 for ctx in config.contexts if ctx.canonical_sign == -1
         )
         assert negatives in (1, 3)
 
@@ -650,6 +650,30 @@ def test_mermin_anchor_filter():
     assert len(anchored) == 6
     for config in anchored:
         assert pt("XX") in {p for ctx in config.contexts for p in ctx.points()}
+
+
+def test_two_line_partitions_of_nine_points_form_a_grid():
+    """Two different partitions of nine points into isotropic lines share
+    no line, so each line of one meets each line of the other in exactly
+    one point: the nine points form a 3x3 grid, and the Mermin-square
+    search needs no grid check on them."""
+    lines = [
+        line
+        for line in itertools.combinations(range(1, 16), 3)
+        if line[0] ^ line[1] == line[2] and packed_form(2, line[0], line[1]) == 0
+    ]
+    partitions: Dict[frozenset, list] = {}
+    for triple in itertools.combinations(lines, 3):
+        union = frozenset(v for line in triple for v in line)
+        if len(union) == 9:
+            partitions.setdefault(union, []).append(triple)
+    grids = [nineset for nineset, parts in partitions.items() if len(parts) > 1]
+    assert (len(partitions), len(grids)) == (70, 10)
+    for nineset in grids:
+        for rows, cols in itertools.combinations(partitions[nineset], 2):
+            assert all(len(set(r) & set(c)) == 1 for r in rows for c in cols)
+        points = [SymplecticPoint.from_value(2, v) for v in sorted(nineset)]
+        assert classify_set(points).kind == KIND_GRID
 
 
 def test_mermin_raw_stream_matches_dedup():
@@ -689,10 +713,10 @@ def verify_rectangle(config: MagicConfiguration, anchor: SymplecticPoint) -> Non
     for ctx in quads:
         label = classify_set(ctx.points())
         assert label.kind == KIND_ELLIPTIC_QUADRIC
-        assert canonical_context_sign(ctx) == 1
+        assert ctx.canonical_sign == 1
         assert anchor in ctx.points()
     assert classify_set(affine.points()).kind == KIND_AFFINE_PLANE
-    assert canonical_context_sign(affine) == -1
+    assert affine.canonical_sign == -1
     assert shared_point(config) == anchor
     cert = parity_witness(config)
     assert cert.certified
@@ -791,7 +815,7 @@ def test_seed_with_positive_affine_context_rejected():
     )
     affine = ("ZIXI", "ZXIZ", "XIYX", "XXZY")
     config = MagicConfiguration.from_words(caps + (affine,))
-    assert [canonical_context_sign(ctx) for ctx in config.contexts] == [1, 1, 1, 1, 1]
+    assert [ctx.canonical_sign for ctx in config.contexts] == [1, 1, 1, 1, 1]
     with pytest.raises(ValueError, match="seed"):
         find_magic_rectangles(rect_options(seed=config))
 
@@ -832,7 +856,7 @@ def _is_rectangle(config: MagicConfiguration, anchor: SymplecticPoint) -> bool:
             return False
         if classify_set(pts).kind != KIND_ELLIPTIC_QUADRIC:
             return False
-        if canonical_context_sign(Context(tuple(from_symplectic(p) for p in pts))) != 1:
+        if Context(tuple(from_symplectic(p) for p in pts)).canonical_sign != 1:
             return False
     spans = [span(pts) for pts in quads]
     if len({s.rows for s in spans}) != 4:
