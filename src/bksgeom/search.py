@@ -18,7 +18,9 @@ The census maps the 168 caps of PG(3, 2) in coordinates
 with ``geometry._span_values``.
 
 Rectangle search walks 4-cliques of maximal totally isotropic subspaces
-through the anchor (pairwise meeting in lines) on packed integers.  A
+through the anchor (pairwise meeting in lines) on packed integers.  It
+lists those Lagrangians by their greedy bases, each reached once, on
+bitsets of candidate points (see :func:`maximal_isotropic_through`).  A
 rectangle on a clique is fixed by one further point on each of the six
 meet lines: each cap is the anchor, the points picked on its three
 lines, and their sum.  Results stay packed, as contexts of (value,
@@ -46,7 +48,6 @@ from .geometry import (
     _rref,
     _span_values,
     packed_form,
-    reduce_row,
     span,
 )
 from .magic import (
@@ -214,27 +215,38 @@ def maximal_isotropic_through(point: SymplecticPoint) -> Tuple[Subspace, ...]:
     """Every maximal totally isotropic subspace containing the point.
 
     These have rank N; through any point of W(2N-1, 2) there are
-    (2 + 1)(4 + 1)...(2^(N-1) + 1) = 1, 3, 15, 135 for N = 1..4.  The
-    depth-first walk runs on packed values over the point's perp: an
-    RREF row tuple grows by the least point of each commuting coset.
+    (2 + 1)(4 + 1)...(2^(N-1) + 1) = 1, 3, 15, 135 for N = 1..4.
+
+    Each one S is reached once, through its greedy basis p, q1 < q2 < ...,
+    where qi is the least point of S outside span(p, q1 ... qi-1).  That
+    point is the least of its coset of the span, so it has a 0 at every
+    pivot; the picks' top bits are those pivots.  So a point can be the
+    next pick exactly when it commutes with p and the earlier picks,
+    exceeds the last pick and has a 0 at the top bit of p and of each
+    earlier pick, and any picks meeting those conditions are the greedy
+    basis of their span.  The candidates are a bitset over the 2^(2N)
+    packed values, and only the leaves are brought to RREF.
     """
-    n, width, start = point.n, 2 * point.n, (point.value,)
-    perp = [q for q in range(1, 1 << width) if not packed_form(n, q, point.value)]
-    seen = {start}
-    stack = [(start, perp)]
+    n, width, p = point.n, 2 * point.n, point.value
+    full = (1 << (1 << width)) - 1
+    # top[b]: the values with bit b set, the upper half of each run of
+    # 2^(b+1) values.  anti[v]: the values that anticommute with v.  It is
+    # linear in v, and unit vector i anticommutes with the values that
+    # have bit j set, for the one unit vector j it anticommutes with.
+    top = [full // ((1 << (2 << b)) - 1) * ((1 << (1 << b)) - 1 << (1 << b)) for b in range(width)]
+    anti = _span_values([
+        next(top[j] for j in range(width) if packed_form(n, 1 << i, 1 << j)) for i in range(width)
+    ])
+    stack = [((p,), full & ~1 & ~anti[p] & ~top[p.bit_length() - 1])]
     found: List[Tuple[int, ...]] = []
     while stack:
-        rows, candidates = stack.pop()
-        if len(rows) == n:
-            found.append(rows)
+        picks, candidates = stack.pop()
+        if len(picks) == n:
+            found.append(_rref(picks, width))
             continue
-        for q in candidates:
-            if reduce_row(q, rows) != q:
-                continue
-            new = _rref(rows + (q,), width)
-            if new not in seen:
-                seen.add(new)
-                stack.append((new, [c for c in candidates if not packed_form(n, c, q)]))
+        for q in _bits(candidates):
+            narrowed = candidates & ~anti[q] & ~top[q.bit_length() - 1] & -(2 << q)
+            stack.append((picks + (q,), narrowed))
     return tuple(Subspace(n, rows) for rows in sorted(found))
 
 

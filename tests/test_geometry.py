@@ -3,10 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bksgeom.geometry import (
     Subspace,
     SymplecticPoint,
+    _span_values,
     all_points,
     contains,
     enumerate_points,
@@ -210,6 +213,29 @@ def test_intersection_is_exact():
         }
         got = {p.value for p in enumerate_points(meet)}
         assert got == expect
+
+
+@st.composite
+def span_pairs(draw):
+    """Two spans of 1 to 5 random points each in one space of n <= 4 qubits."""
+    n = draw(st.integers(1, 4))
+    points = st.lists(
+        st.integers(1, (1 << (2 * n)) - 1).map(lambda v: SymplecticPoint.from_value(n, v)),
+        min_size=1,
+        max_size=5,
+    )
+    return span(draw(points)), span(draw(points))
+
+
+@settings(max_examples=300, deadline=None)
+@given(span_pairs())
+def test_intersection_has_exactly_the_common_points(pair):
+    a, b = pair
+    meet = intersect(a, b)
+    common = set(_span_values(a.rows)) & set(_span_values(b.rows))
+    assert set(_span_values(meet.rows)) == common
+    assert len(common) == 1 << meet.rank
+    assert a.rank + b.rank == subspace_sum(a, b).rank + meet.rank
 
 
 def test_empty_intersection_has_rank_zero():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bksgeom import _kernels, magic
+from bksgeom import _kernels, magic, search
 from bksgeom.classify import (
     KIND_AFFINE_PLANE,
     KIND_ELLIPTIC_QUADRIC,
@@ -209,9 +209,13 @@ def _brute_force_lagrangians(n: int, anchor: int) -> set:
     return found
 
 
+# Every anchor for n <= 3 (3 + 15 + 63 words), where brute force is cheap,
+# and a few above it.
+SMALL_WORDS = [_from_packed(n, v, 1).letters for n in (1, 2, 3) for v in range(1, 1 << (2 * n))]
+
+
 @pytest.mark.parametrize(
-    "word",
-    ["X", "Z", "Y", "XI", "YY", "XIZ", "YYI", "IYI", "IXII", "XIIZ", "YYYY", "YIII"],
+    "word", SMALL_WORDS + ["IXII", "XIIZ", "YYYY", "YIII", "IXIII", "YYYYY", "YIIII"]
 )
 def test_lagrangians_against_the_count_and_brute_force(word):
     anchor = pt(word)
@@ -227,6 +231,18 @@ def test_lagrangians_against_the_count_and_brute_force(word):
         assert anchor.value in _closure(s.rows)
     if n <= 3:
         assert {_closure(r) for r in rows} == _brute_force_lagrangians(n, anchor.value)
+
+
+def test_lagrangians_are_each_reduced_once(monkeypatch):
+    """The greedy-basis walk reaches each of the 135 Lagrangians through
+    IXII once and brings only those leaves to RREF: at most one RREF
+    call per Lagrangian."""
+    calls = []
+    rref = search._rref
+    monkeypatch.setattr(search, "_rref", lambda *a: calls.append(a) or rref(*a))
+    subs = maximal_isotropic_through.__wrapped__(anchor_point())
+    assert len(subs) == 135
+    assert len(calls) <= len(subs)
 
 
 def test_pair_meet_rank_by_dimension_formula():
