@@ -100,6 +100,8 @@ def parse_config_text(text: str) -> List[Tuple[Optional[str], List[PauliObservab
                 raise ParseError(
                     f"line {lineno}: name header must open its block"
                 )
+            if name is not None:
+                raise ParseError(f"line {lineno}: context {name!r} has no observables")
             name = line[5:].strip() or None
             continue
         try:

@@ -23,14 +23,14 @@ lists those Lagrangians by their greedy bases, each reached once, on
 bitsets of candidate points (see :func:`maximal_isotropic_through`).  A
 rectangle on a clique is fixed by one further point on each of the six
 meet lines: each cap is the anchor, the points picked on its three
-lines, and their sum.  Results stay packed, as contexts of (value,
-sign) pairs, through the twin map, canonical ordering and dedup; a
-MagicConfiguration is built only for a result that enters the list,
-and each distinct member and context of one search call is built, and
-each context validated, once.  Results are emitted in (configuration,
-twin) pairs so that truncation by ``limit`` never separates a
-configuration from its complement; an odd limit simply stops one pair
-earlier.
+lines, and their sum.  Every search is one stream of groups of packed
+contexts, of (value, sign) pairs, read up to ``limit`` by one collector
+that builds a MagicConfiguration only for a result that enters the
+list, and each distinct member and context of one call (validating
+each context) once.  Under dedup a rectangle and its twin form one
+group, so truncation by ``limit`` never separates them (an odd limit
+stops one pair earlier), and the keys that drop repeats live for one
+clique, which holds both.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import _kernels
 from .geometry import (
@@ -75,8 +75,8 @@ class SearchOptions:
             shape default (IXII for rectangles, no filter otherwise).
         shape: one of SHAPES.
         limit: maximum number of results to return (at least 1).
-        dedup: canonicalise results and drop duplicates; rectangle twins
-            are injected at emission only in this mode.
+        dedup: canonicalise results and drop repeats; rectangles come
+            with their twins only in this mode.
         seed: a known rectangle to emit first, before the systematic
             walk.  It must be one the walk itself would yield at the
             anchor, up to member signs and the order of members and
@@ -130,64 +130,37 @@ def canonical_config(config: MagicConfiguration) -> MagicConfiguration:
     return config_from_packed(config.n, _canonical(packed_contexts(config)))
 
 
-class _Emitter:
-    """Collects results up to a limit with optional canonical dedup.
+def _collect(
+    n: int, limit: int, groups: Iterable[Sequence[Sequence[PackedContext]]]
+) -> List[MagicConfiguration]:
+    """The results of a stream of groups of packed contexts, up to limit.
 
-    Groups arrive as packed contexts; a MagicConfiguration is built only
-    for a result that enters the list.  Within one emitter each distinct
-    (value, sign) member and each distinct packed context becomes one
-    frozen object, shared by every result that holds it, so a context is
-    validated once however many results share it.
+    The stream stops at the first group that would pass the limit, so a
+    group is never split.  A MagicConfiguration is built only for a
+    result that enters the list, and each distinct (value, sign) member
+    and each distinct packed context becomes one frozen object, shared
+    by every result that holds it, so a context is validated once
+    however many results share it.
     """
+    members: Dict[Tuple[int, int], PauliObservable] = {}
+    contexts: Dict[PackedContext, Context] = {}
 
-    def __init__(self, n: int, limit: int, dedup: bool):
-        self.n = n
-        self.limit = limit
-        self.dedup = dedup
-        self.results: List[MagicConfiguration] = []
-        self._seen: set = set()
-        self._members: Dict[Tuple[int, int], PauliObservable] = {}
-        self._contexts: Dict[PackedContext, Context] = {}
-
-    def _context(self, packed: PackedContext) -> Context:
-        """The one Context of a packed context, built on its first use."""
-        if packed not in self._contexts:
+    def context(packed: PackedContext) -> Context:
+        if packed not in contexts:
             for member in packed:
-                if member not in self._members:
-                    self._members[member] = _from_packed(self.n, *member)
-            self._contexts[packed] = Context(tuple(self._members[m] for m in packed))
-        return self._contexts[packed]
+                if member not in members:
+                    members[member] = _from_packed(n, *member)
+            contexts[packed] = Context(tuple(members[m] for m in packed))
+        return contexts[packed]
 
-    @property
-    def full(self) -> bool:
-        return len(self.results) >= self.limit
-
-    def offer(self, group: Sequence[Sequence[PackedContext]]) -> bool:
-        """Emit a group atomically; returns False when the walk should stop.
-
-        Without dedup the group is emitted member by member, in the order
-        given, and may be cut by the limit; with dedup the whole group
-        must fit, keeping twin pairs intact.
-        """
-        if not self.dedup:
-            for contexts in group:
-                if self.full:
-                    return False
-                self.results.append(MagicConfiguration(tuple(map(self._context, contexts))))
-            return not self.full
-        fresh = []
-        for contexts in group:
-            key = _canonical(contexts)
-            if key not in self._seen and key not in fresh:
-                fresh.append(key)
-        if not fresh:
-            return True
-        if len(self.results) + len(fresh) > self.limit:
-            return False
-        for key in fresh:
-            self._seen.add(key)
-            self.results.append(MagicConfiguration(tuple(map(self._context, key))))
-        return not self.full
+    results: List[MagicConfiguration] = []
+    for group in groups:
+        if len(results) + len(group) > limit:
+            break
+        results.extend(MagicConfiguration(tuple(map(context, packed))) for packed in group)
+        if len(results) == limit:
+            break
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +265,8 @@ def find_mermin_squares(options: SearchOptions) -> List[MagicConfiguration]:
     contexts form a certified magic configuration.
 
     Deterministic: grids are generated in ascending order of their
-    point sets and results are canonicalised under dedup.
+    point sets, each once (six lines split into a grid's two parallel
+    classes in one way only), and canonicalised under dedup.
     """
     if options.shape != "mermin_square":
         raise ValueError("find_mermin_squares expects shape 'mermin_square'")
@@ -315,24 +289,24 @@ def find_mermin_squares(options: SearchOptions) -> List[MagicConfiguration]:
         if len(union) == 9:
             partitions.setdefault(frozenset(union), []).append(triple)
 
-    emitter = _Emitter(n, options.limit, options.dedup)
-    for nineset in sorted(partitions, key=lambda s: sorted(s)):
-        parts = partitions[nineset]
-        # Two partitions share no line, so each line of one meets each
-        # line of the other in one point: every pair is a 3x3 grid.
-        if len(parts) < 2:
-            continue
-        if options.anchor_point is not None and options.anchor_point.value not in nineset:
-            continue
-        for rows, cols in itertools.combinations(parts, 2):
-            lines = rows + cols
-            negatives = sum(packed_product(n, line)[0] < 0 for line in lines)
-            if negatives % 2 == 0:
+    def squares() -> Iterator[List[Tuple[PackedContext, ...]]]:
+        for nineset in sorted(partitions, key=lambda s: sorted(s)):
+            parts = partitions[nineset]
+            # Two partitions share no line, so each line of one meets each
+            # line of the other in one point: every pair is a 3x3 grid.
+            if len(parts) < 2:
                 continue
-            contexts = tuple(tuple((v, 1) for v in line) for line in lines)
-            if not emitter.offer([contexts]):
-                return emitter.results
-    return emitter.results
+            if options.anchor_point is not None and options.anchor_point.value not in nineset:
+                continue
+            for rows, cols in itertools.combinations(parts, 2):
+                lines = rows + cols
+                negatives = sum(packed_product(n, line)[0] < 0 for line in lines)
+                if negatives % 2 == 0:
+                    continue
+                contexts = tuple(tuple((v, 1) for v in line) for line in lines)
+                yield [_canonical(contexts) if options.dedup else contexts]
+
+    return _collect(n, options.limit, squares())
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +343,21 @@ class _RectangleWalk:
     def pair_ok(self, i: int, j: int) -> bool:
         """Spans must meet in a line: exactly three common points."""
         return (self._point_masks[i] & self._point_masks[j]).bit_count() == 3
+
+    def cliques(self) -> Iterator[Tuple[int, int, int, int]]:
+        """Every 4-clique a < b < c < d of Lagrangians pairwise meeting
+        in lines, in lexicographic order."""
+        ok, count = self.pair_ok, len(self.lagrangians)
+        for a in range(count):
+            for b in range(a + 1, count):
+                if not ok(a, b):
+                    continue
+                for c in range(b + 1, count):
+                    if not (ok(a, c) and ok(b, c)):
+                        continue
+                    for d in range(c + 1, count):
+                        if ok(a, d) and ok(b, d) and ok(c, d):
+                            yield a, b, c, d
 
     def _line(self, i: int, j: int) -> Tuple[int, ...]:
         """The two points other than the anchor of the line that
@@ -459,6 +448,41 @@ class _RectangleWalk:
         )
 
 
+def _rectangle_groups(
+    walk: _RectangleWalk, seed: Optional[Tuple[PackedContext, ...]], dedup: bool
+) -> Iterator[List[Tuple[PackedContext, ...]]]:
+    """The result stream of a rectangle search, in groups not to be split.
+
+    The seed comes first.  Without dedup each rectangle of the walk is a
+    group of its own, as yielded.  Under dedup each gives the canonical
+    keys of it and its twin that are new.  A key set that lives for one
+    clique suffices: each cap {p, x, y, z, p^x^y^z} spans its Lagrangian,
+    and so does the twin cap {p, p^x, p^y, p^z, x^y^z}, so every key
+    made on a clique has that clique's four cap spans.  The seed's two
+    keys lie on a clique the walk reaches, and join every clique's set.
+    """
+
+    def pair(contexts: Tuple[PackedContext, ...]) -> List[Tuple[PackedContext, ...]]:
+        return [_canonical(contexts), _canonical(twin_contexts(walk.n, walk.anchor, contexts))]
+
+    first = []
+    if seed is not None:
+        first = pair(seed) if dedup else [seed]
+        yield first
+    for clique in walk.cliques():
+        keys = None
+        for contexts in walk.rectangles(*clique):
+            if not dedup:
+                yield [contexts]
+                continue
+            if keys is None:  # most cliques carry no rectangle
+                keys = set(first)
+            fresh = [key for key in pair(contexts) if key not in keys]
+            keys.update(fresh)
+            if fresh:
+                yield fresh
+
+
 def find_magic_rectangles(options: SearchOptions) -> List[MagicConfiguration]:
     """Anchored rectangle search at four qubits.
 
@@ -473,39 +497,10 @@ def find_magic_rectangles(options: SearchOptions) -> List[MagicConfiguration]:
     if options.qubit_count != 4:
         raise ValueError("rectangle search is defined for 4 qubits")
     anchor = options.anchor_point or anchor_point()
-    n = anchor.n
-    emitter = _Emitter(n, options.limit, options.dedup)
     walk = _RectangleWalk(anchor)
-
-    def emit(contexts: Tuple[PackedContext, ...]) -> bool:
-        if options.dedup:
-            return emitter.offer([contexts, twin_contexts(n, anchor.value, contexts)])
-        return emitter.offer([contexts])
-
+    seed = None
     if options.seed is not None:
         seed = packed_contexts(options.seed)
-        if options.seed.n != n or not walk.holds(seed):
+        if options.seed.n != anchor.n or not walk.holds(seed):
             raise ValueError("seed configuration does not have the rectangle shape")
-        if not emit(seed):
-            return emitter.results
-
-    count = len(walk.lagrangians)
-    for a in range(count):
-        for b in range(a + 1, count):
-            if not walk.pair_ok(a, b):
-                continue
-            for c in range(b + 1, count):
-                if not (walk.pair_ok(a, c) and walk.pair_ok(b, c)):
-                    continue
-                for d in range(c + 1, count):
-                    if not (
-                        walk.pair_ok(a, d)
-                        and walk.pair_ok(b, d)
-                        and walk.pair_ok(c, d)
-                    ):
-                        continue
-                    for contexts in walk.rectangles(a, b, c, d):
-                        if not emit(contexts):
-                            return emitter.results
-    return emitter.results
-
+    return _collect(anchor.n, options.limit, _rectangle_groups(walk, seed, options.dedup))

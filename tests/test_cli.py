@@ -18,7 +18,7 @@ import bksgeom.cli
 import bksgeom.magic
 from bksgeom.cli import build_report, emit_config_text, main, parse_config_text, read_config_file
 from bksgeom.magic import Context, MagicConfiguration
-from bksgeom.geometry import SymplecticPoint, _rref, _span_values, packed_form, reduce_row
+from bksgeom.geometry import MAX_QUBITS, SymplecticPoint, _rref, _span_values, packed_form, reduce_row
 from bksgeom.pauli import ParseError, format_observable, point_word
 from bksgeom.rectangle import CONTEXT_NAMES, CONTEXT_WORDS, TWIN_CONTEXT_WORDS, magic_rectangle
 from bksgeom.search import find_magic_rectangles
@@ -104,6 +104,16 @@ def test_parse_config_rejects_empty():
 def test_parse_config_rejects_named_empty_block():
     with pytest.raises(ParseError, match="has no observables"):
         parse_config_text("name: S1\n\nZIII\nIXII\nZXII\n")
+
+
+def test_second_name_header_before_a_member_exits_3(tmp_path, capsys):
+    """A header may not replace the name of a block with no members."""
+    path = tmp_path / "two_names.txt"
+    path.write_text("name: A\nname: B\nXX\nZZ\nYY\n", encoding="utf-8")
+    assert main(["verify", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "line 2: context 'A' has no observables" in err
 
 
 def test_parse_config_rejects_late_name_header():
@@ -563,14 +573,38 @@ def _commuting_context(rng, n: int) -> list:
     return [rng.choice(("", "", "-")) + w for w in rng.sample(words, len(words))]
 
 
-@settings(max_examples=100, deadline=None)
-@given(n=st.integers(1, 5), count=st.integers(1, 4), rng=st.randoms(use_true_random=False))
-def test_cli_fuzz_exit_codes(tmp_path_factory, n, count, rng):
+def _malformed_line(defect: str, rng, n: int) -> bytes:
+    """One line that makes a config file unreadable when it follows a
+    member: bytes that are not UTF-8, an unknown letter, a word longer
+    than MAX_QUBITS, or a name header after a member."""
+    if defect == "bytes":
+        return b"Z\xffZ"
+    if defect == "letter":
+        at = rng.randrange(n)
+        return b"Z" * at + rng.choice((b"A", b"B", b"Q", b"W")) + b"I" * (n - 1 - at)
+    if defect == "long":
+        return b"Z" * (MAX_QUBITS + 1)
+    return b"name: late"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    count=st.integers(1, 4),
+    rng=st.randoms(use_true_random=False),
+    defect=st.sampled_from((None, None, "bytes", "letter", "long", "header")),
+)
+def test_cli_fuzz_exit_codes(tmp_path_factory, n, count, rng, defect):
     """Generated files of commuting contexts get a documented exit code
-    from every file command, and no exception escapes."""
+    from every file command, and no exception escapes.  A file with one
+    malformed line after a member exits 3 with nothing on stdout."""
     contexts = [_commuting_context(rng, n) for _ in range(count)]
+    lines = [line.encode() for line in "\n\n".join("\n".join(ctx) for ctx in contexts).split("\n")]
+    if defect is not None:
+        after = rng.choice([i for i, line in enumerate(lines) if line])
+        lines.insert(after + 1, _malformed_line(defect, rng, n))
     path = tmp_path_factory.mktemp("fuzz") / "config.txt"
-    path.write_text("\n\n".join("\n".join(ctx) for ctx in contexts) + "\n")
+    path.write_bytes(b"\n".join(lines) + b"\n")
     point = rng.choice([w.lstrip("-") for ctx in contexts for w in ctx])
     commands = (
         ["verify", str(path)],
@@ -581,7 +615,11 @@ def test_cli_fuzz_exit_codes(tmp_path_factory, n, count, rng):
         for extra in ([], ["--json"]):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                assert main(command + extra) in {0, 1, 2, 3}
+                code = main(command + extra)
+            if defect is None:
+                assert code in {0, 1, 2, 3}
+            else:
+                assert (code, out.getvalue()) == (3, "")
 
 
 # ---------------------------------------------------------------------------
@@ -626,22 +664,24 @@ def _assert_help(out):
     assert out.stdout.startswith("usage: bksgeom")
 
 
-def test_module_entry_point():
+def test_module_entry_point(child_env):
     out = subprocess.run(
         [sys.executable, "-m", "bksgeom.cli", "reproduce"],
         capture_output=True,
         text=True,
+        env=child_env,
         timeout=SUBPROCESS_TIMEOUT,
     )
     assert out.returncode == 0
     assert "BKS contradiction certified" in out.stdout
 
 
-def test_console_script_runs():
+def test_console_script_runs(child_env):
     out = subprocess.run(
         [sys.executable, "-c", LAUNCHER, _console_script_target(), "--help"],
         capture_output=True,
         text=True,
+        env=child_env,
         timeout=SUBPROCESS_TIMEOUT,
     )
     _assert_help(out)

@@ -127,10 +127,10 @@ def test_cap_subsets_matches_brute_force():
 # runtime dependencies
 
 
-def test_import_loads_no_numpy():
+def test_import_loads_no_numpy(child_env):
     code = 'import sys, bksgeom, bksgeom.cli; print("numpy" in sys.modules)'
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env, timeout=120
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"

@@ -5,11 +5,12 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 from collections import namedtuple
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bksgeom import _kernels, magic, search
@@ -21,6 +22,7 @@ from bksgeom.classify import (
 )
 from bksgeom.geometry import (
     SymplecticPoint,
+    _rref,
     _span_values,
     enumerate_points,
     intersect,
@@ -1061,3 +1063,52 @@ def test_packed_twin_matches_complement_config(word):
         )
         assert twin == reference
         assert twin == packed_contexts(complement_config(config, point))
+
+
+EVEN_Y_WORDS = sorted(
+    "".join(letters)
+    for letters in itertools.product("IXYZ", repeat=4)
+    if "".join(letters) != "IIII" and letters.count("Y") % 2 == 0
+)
+
+
+@settings(max_examples=1, deadline=None)
+@given(word=st.sampled_from(EVEN_Y_WORDS), start=st.integers(0, 39))
+@example(word="IXII", start=0)
+@example(word="YYYY", start=0)
+@example(word="XIIZ", start=0)
+def test_twins_lie_on_the_clique_of_their_rectangle(word, start):
+    """On every 40th clique of the walk, each rectangle's twin has five-
+    point contexts spanning the rectangle's four Lagrangians, and
+    twinning twice is the identity: the dedup keys of a search can live
+    for one clique."""
+    point = pt(word)
+    walk = _RectangleWalk(point)
+    index = {sub.rows: i for i, sub in enumerate(walk.lagrangians)}
+
+    def spans(contexts):
+        return sorted(index[_rref((v for v, _ in ctx), 8)] for ctx in contexts if len(ctx) == 5)
+
+    found = 0
+    for clique in _cliques(walk)[start::40]:
+        for contexts in walk.rectangles(*clique):
+            twin = twin_contexts(4, point.value, contexts)
+            assert spans(twin) == spans(contexts) == list(clique)
+            assert twin_contexts(4, point.value, twin) == contexts
+            found += 1
+    assert found > 0
+
+
+def test_warm_search_memory_per_result():
+    """The traced peak of a warm call at IXII per result: about 0.6 KB,
+    where a set of every canonical key of the call took about 2.4 KB."""
+    options = rect_options(anchor_point=pt("IXII"), limit=5000)
+    maximal_isotropic_through(pt("IXII"))
+    tracemalloc.start()
+    try:
+        results = find_magic_rectangles(options)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(results) == 5000
+    assert peak / len(results) < 1500
