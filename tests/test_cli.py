@@ -587,25 +587,9 @@ def _malformed_line(defect: str, rng, n: int) -> bytes:
     return b"name: late"
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    n=st.integers(1, 5),
-    count=st.integers(1, 4),
-    rng=st.randoms(use_true_random=False),
-    defect=st.sampled_from((None, None, "bytes", "letter", "long", "header")),
-)
-def test_cli_fuzz_exit_codes(tmp_path_factory, n, count, rng, defect):
-    """Generated files of commuting contexts get a documented exit code
-    from every file command, and no exception escapes.  A file with one
-    malformed line after a member exits 3 with nothing on stdout."""
-    contexts = [_commuting_context(rng, n) for _ in range(count)]
-    lines = [line.encode() for line in "\n\n".join("\n".join(ctx) for ctx in contexts).split("\n")]
-    if defect is not None:
-        after = rng.choice([i for i, line in enumerate(lines) if line])
-        lines.insert(after + 1, _malformed_line(defect, rng, n))
-    path = tmp_path_factory.mktemp("fuzz") / "config.txt"
-    path.write_bytes(b"\n".join(lines) + b"\n")
-    point = rng.choice([w.lstrip("-") for ctx in contexts for w in ctx])
+def _file_command_runs(path, point):
+    """Run every file command, in text and ``--json``, on ``path``;
+    yield each exit code with what went to stdout."""
     commands = (
         ["verify", str(path)],
         ["classify", str(path)],
@@ -616,10 +600,41 @@ def test_cli_fuzz_exit_codes(tmp_path_factory, n, count, rng, defect):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(command + extra)
-            if defect is None:
-                assert code in {0, 1, 2, 3}
-            else:
-                assert (code, out.getvalue()) == (3, "")
+            yield code, out.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 5), count=st.integers(1, 4), rng=st.randoms(use_true_random=False))
+def test_cli_fuzz_exit_codes(tmp_path_factory, n, count, rng):
+    """Generated files of commuting contexts get a documented exit code
+    from every file command, and no exception escapes."""
+    contexts = [_commuting_context(rng, n) for _ in range(count)]
+    path = tmp_path_factory.mktemp("fuzz") / "config.txt"
+    path.write_text("\n\n".join("\n".join(ctx) for ctx in contexts) + "\n")
+    point = rng.choice([w.lstrip("-") for ctx in contexts for w in ctx])
+    for code, _ in _file_command_runs(path, point):
+        assert code in {0, 1, 2, 3}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    count=st.integers(1, 4),
+    rng=st.randoms(use_true_random=False),
+    defect=st.sampled_from(("bytes", "letter", "long", "header")),
+)
+def test_cli_fuzz_malformed_line_exits_3(tmp_path_factory, n, count, rng, defect):
+    """A generated file with one malformed line after a member exits 3
+    from every file command, with nothing on stdout."""
+    contexts = [_commuting_context(rng, n) for _ in range(count)]
+    lines = [line.encode() for line in "\n\n".join("\n".join(ctx) for ctx in contexts).split("\n")]
+    after = rng.choice([i for i, line in enumerate(lines) if line])
+    lines.insert(after + 1, _malformed_line(defect, rng, n))
+    path = tmp_path_factory.mktemp("fuzz") / "config.txt"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    point = rng.choice([w.lstrip("-") for ctx in contexts for w in ctx])
+    for run in _file_command_runs(path, point):
+        assert run == (3, "")
 
 
 # ---------------------------------------------------------------------------
