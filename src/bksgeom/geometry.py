@@ -139,7 +139,8 @@ class Subspace:
     """A linear subspace of GF(2)^(2N) in canonical reduced row echelon form.
 
     Two Subspace instances are equal exactly when they describe the same
-    subspace.  The zero subspace has an empty row tuple.
+    subspace.  The zero subspace has an empty row tuple.  Canonical rows
+    lie in [1, 2^(2N)) with strictly descending pivots, each in one row.
     """
 
     n: int
@@ -148,9 +149,11 @@ class Subspace:
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_QUBITS:
             raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {self.n}")
-        canonical = _rref(self.rows, 2 * self.n)
-        if canonical != self.rows:
-            raise ValueError("rows are not in canonical reduced echelon form")
+        above, bound = 0, 1 << 2 * self.n  # rows so far, and the last pivot
+        for row in self.rows:
+            if not 0 < row < bound or above & (pivot := 1 << row.bit_length() >> 1):
+                raise ValueError("rows are not in canonical reduced echelon form")
+            above, bound = above | row, pivot
 
     @property
     def rank(self) -> int:

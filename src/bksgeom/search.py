@@ -20,17 +20,17 @@ with ``geometry._span_values``.
 Rectangle search walks 4-cliques of maximal totally isotropic subspaces
 through the anchor (pairwise meeting in lines) on packed integers.  It
 lists those Lagrangians by their greedy bases, each reached once, on
-bitsets of candidate points (see :func:`maximal_isotropic_through`).  A
-rectangle on a clique is fixed by one further point on each of the six
-meet lines: each cap is the anchor, the points picked on its three
-lines, and their sum.  Every search is one stream of groups of packed
-contexts, of (value, sign) pairs, read up to ``limit`` by one collector
-that builds a MagicConfiguration only for a result that enters the
-list, and each distinct member and context of one call (validating
-each context) once.  Under dedup a rectangle and its twin form one
-group, so truncation by ``limit`` never separates them (an odd limit
-stops one pair earlier), and the keys that drop repeats live for one
-clique, which holds both.
+bitsets of candidate points (see :func:`maximal_isotropic_through`), and
+keeps their point bitsets per anchor.  A rectangle on a clique is fixed
+by one further point on each of the six meet lines (kept per walk):
+each cap is the anchor, the points picked on its three lines, and their
+sum.  Every search is one stream of groups of packed contexts read up to
+``limit`` by one collector that builds a MagicConfiguration only for a
+result that enters the list, and each distinct member and context of
+one call (validating each context) once.  Under dedup a rectangle and
+its twin form one group, so truncation by ``limit`` never separates
+them (an odd limit stops one pair earlier).  Their keys, sorted points
+(the twin's from a per-walk twin table), live for one clique.
 """
 
 from __future__ import annotations
@@ -223,6 +223,13 @@ def maximal_isotropic_through(point: SymplecticPoint) -> Tuple[Subspace, ...]:
     return tuple(Subspace(n, rows) for rows in sorted(found))
 
 
+@functools.lru_cache(maxsize=8)
+def _lagrangian_masks(point: SymplecticPoint) -> Tuple[Tuple[Subspace, ...], Tuple[int, ...]]:
+    """The Lagrangians through the point and each one's points as a bitset."""
+    lagrangians = maximal_isotropic_through(point)
+    return lagrangians, tuple(sum(1 << v for v in _span_values(sub.rows)[1:]) for sub in lagrangians)
+
+
 def cap_census(options: SearchOptions) -> List[Tuple[Subspace, List[Tuple[SymplecticPoint, ...]]]]:
     """Elliptic quadric census for the ovoid_census shape.
 
@@ -334,11 +341,10 @@ class _RectangleWalk:
     def __init__(self, anchor: SymplecticPoint):
         self.anchor = anchor.value
         self.n = anchor.n
-        self.lagrangians = maximal_isotropic_through(anchor)
-        self._point_masks = [
-            sum(1 << v for v in _span_values(sub.rows)[1:]) for sub in self.lagrangians
-        ]
+        self.lagrangians, self._point_masks = _lagrangian_masks(anchor)
+        self._lines: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._caps: Dict[Tuple[int, int, int], Optional[Tuple[int, ...]]] = {}
+        self._twins: Optional[Dict[int, Tuple[int, int]]] = None
 
     def pair_ok(self, i: int, j: int) -> bool:
         """Spans must meet in a line: exactly three common points."""
@@ -361,9 +367,11 @@ class _RectangleWalk:
 
     def _line(self, i: int, j: int) -> Tuple[int, ...]:
         """The two points other than the anchor of the line that
-        Lagrangians i and j meet in (see :meth:`pair_ok`)."""
-        meet = self._point_masks[i] & self._point_masks[j]
-        return tuple(_bits(meet ^ 1 << self.anchor))
+        Lagrangians i and j meet in (see :meth:`pair_ok`), memoised per walk."""
+        if (i, j) not in self._lines:
+            meet = self._point_masks[i] & self._point_masks[j] ^ 1 << self.anchor
+            self._lines[i, j] = tuple(_bits(meet))
+        return self._lines[i, j]
 
     def _cap(self, x: int, y: int, z: int) -> Optional[Tuple[int, ...]]:
         """The sorted cap {p, x, y, z, p ^ x ^ y ^ z} through the anchor
@@ -423,6 +431,18 @@ class _RectangleWalk:
         for rectangle in found:
             yield tuple(tuple((v, 1) for v in ctx) for ctx in rectangle)
 
+    def keys(self, contexts: Tuple[PackedContext, ...]) -> List[Tuple[PackedContext, ...]]:
+        """The :func:`_canonical` keys of a walk rectangle and of its twin;
+        the twin's members come from a table of every value's twin, made by
+        one :func:`twin_contexts` call.  Members are distinct, ascend with
+        sign +1, and a twin sign depends only on the value: sorting suffices."""
+        if self._twins is None:
+            values = range(1, 1 << 2 * self.n)
+            twins = twin_contexts(self.n, self.anchor, [[(v, 1) for v in values]])
+            self._twins = dict(zip(values, *twins))
+        twin = (tuple(sorted(self._twins[v] for v, _ in ctx)) for ctx in contexts)
+        return [tuple(sorted(contexts)), tuple(sorted(twin))]
+
     def holds(self, contexts: Sequence[PackedContext]) -> bool:
         """Whether packed contexts are one of the rectangles the walk
         yields, in any member and context order and with any member signs.
@@ -432,11 +452,8 @@ class _RectangleWalk:
         sorted point sets must then equal those of a rectangle on them.
         """
         index = {sub.rows: i for i, sub in enumerate(self.lagrangians)}
-        clique = sorted(
-            index.get(_rref((v for v, _ in ctx), 2 * self.n), -1)
-            for ctx in contexts
-            if len(ctx) == 5
-        )
+        spans = (_rref((v for v, _ in ctx), 2 * self.n) for ctx in contexts if len(ctx) == 5)
+        clique = sorted(index.get(rows, -1) for rows in spans)
         if len(clique) != 4 or len(set(clique)) != 4 or clique[0] < 0:
             return False
         if not all(self.pair_ok(i, j) for i, j in itertools.combinations(clique, 2)):
@@ -454,20 +471,20 @@ def _rectangle_groups(
     """The result stream of a rectangle search, in groups not to be split.
 
     The seed comes first.  Without dedup each rectangle of the walk is a
-    group of its own, as yielded.  Under dedup each gives the canonical
-    keys of it and its twin that are new.  A key set that lives for one
-    clique suffices: each cap {p, x, y, z, p^x^y^z} spans its Lagrangian,
+    group of its own, as yielded.  Under dedup each gives the new ones of
+    its and its twin's keys (:meth:`_RectangleWalk.keys`; the seed's, whose
+    signs are arbitrary, by :func:`_canonical`).  A key set that lives for
+    one clique suffices: each cap {p, x, y, z, p^x^y^z} spans its Lagrangian,
     and so does the twin cap {p, p^x, p^y, p^z, x^y^z}, so every key
     made on a clique has that clique's four cap spans.  The seed's two
     keys lie on a clique the walk reaches, and join every clique's set.
     """
 
-    def pair(contexts: Tuple[PackedContext, ...]) -> List[Tuple[PackedContext, ...]]:
-        return [_canonical(contexts), _canonical(twin_contexts(walk.n, walk.anchor, contexts))]
-
     first = []
     if seed is not None:
-        first = pair(seed) if dedup else [seed]
+        first = [seed]
+        if dedup:
+            first = [_canonical(seed), _canonical(twin_contexts(walk.n, walk.anchor, seed))]
         yield first
     for clique in walk.cliques():
         keys = None
@@ -477,7 +494,7 @@ def _rectangle_groups(
                 continue
             if keys is None:  # most cliques carry no rectangle
                 keys = set(first)
-            fresh = [key for key in pair(contexts) if key not in keys]
+            fresh = [key for key in walk.keys(contexts) if key not in keys]
             keys.update(fresh)
             if fresh:
                 yield fresh

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from bksgeom.geometry import (
     Subspace,
     SymplecticPoint,
+    _rref,
     _span_values,
     all_points,
     contains,
@@ -167,6 +168,38 @@ def test_subspace_rejects_non_canonical_rows():
         Subspace(2, (1, 2))  # ascending order
     with pytest.raises(ValueError):
         Subspace(2, (2, 2))
+
+
+@pytest.mark.parametrize("rows", [(64,), (-1,), (0,), (16, 4)])
+def test_subspace_rejects_rows_outside_the_space(rows):
+    # Rows must be nonzero vectors of GF(2)^(2N): at N = 1, 64 = 2^(2N)
+    # and 16 are too wide, although each is already reduced.
+    with pytest.raises(ValueError):
+        Subspace(1, rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=st.integers(1, 3), data=st.data())
+def test_subspace_check_agrees_with_rref(n, data):
+    """The constructor accepts exactly the row tuples that lie in the
+    space and that _rref leaves as they are.  Half the draws start from
+    an RREF and flip a few bits, so both answers occur often."""
+    width = 2 * n
+    values = st.integers(-2, (1 << width) + 2)
+    rows = tuple(data.draw(st.lists(values, max_size=5)))
+    if data.draw(st.booleans()):
+        rows = list(_rref([v for v in rows if 0 < v < 1 << width], width))
+        for _ in range(data.draw(st.integers(0, 2)) if rows else 0):
+            i = data.draw(st.integers(0, len(rows) - 1))
+            rows[i] ^= 1 << data.draw(st.integers(0, width))
+        rows = tuple(rows)
+    expected = all(0 < v < 1 << width for v in rows) and _rref(rows, width) == rows
+    try:
+        Subspace(n, rows)
+    except ValueError:
+        assert not expected
+    else:
+        assert expected
 
 
 def test_contains_and_enumerate():

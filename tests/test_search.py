@@ -983,13 +983,17 @@ def test_seed_from_another_qubit_count_rejected():
 
 # Digests of the result words, recorded before the Lagrangian walk and
 # the pair tests moved to packed integers; they pin the emission order.
+# The two limit-5000 rows were recorded before the dedup keys were built
+# from a twin table.
 RECTANGLE_DIGESTS = {
     ("IXII", 4): "2c8a0a07f6eb6958ceb0",
     ("IXII", 100): "bcee58b03834f4577bc4",
     ("XIIZ", 4): "33841f0124d8985e78dc",
     ("XIIZ", 100): "33596a1e75911a906755",
+    ("XIIZ", 5000): "a7a4908c99f7a4d1dfb1",
     ("YYYY", 4): "5eb9cab41ce913bf585b",
     ("YYYY", 100): "30d8ca9f99d7871c38d2",
+    ("YYYY", 5000): "58812878d3d5e897dfac",
 }
 
 
@@ -1097,6 +1101,47 @@ def test_twins_lie_on_the_clique_of_their_rectangle(word, start):
             assert twin_contexts(4, point.value, twin) == contexts
             found += 1
     assert found > 0
+
+
+@settings(max_examples=1, deadline=None)
+@given(word=st.sampled_from(EVEN_Y_WORDS), start=st.integers(0, 39))
+@example(word="IXII", start=0)
+@example(word="YYYY", start=0)
+@example(word="XIIZ", start=0)
+def test_walk_keys_equal_the_canonical_keys(word, start):
+    """On every 40th clique, the walk's keys of each rectangle and of its
+    twin, read from its twin table, are the _canonical keys of the
+    rectangle and of the twin_contexts image."""
+    point = pt(word)
+    walk = _RectangleWalk(point)
+    found = 0
+    for clique in _cliques(walk)[start::40]:
+        for contexts in walk.rectangles(*clique):
+            twin = twin_contexts(4, point.value, contexts)
+            assert walk.keys(contexts) == [search._canonical(contexts), search._canonical(twin)]
+            found += 1
+    assert found > 0
+
+
+@pytest.mark.parametrize("limit", [4, 1000])
+def test_dedup_search_at_an_odd_y_anchor_raises(limit):
+    """The twin map needs an anchor that squares to +identity; at YIII the
+    first rectangle under dedup raises."""
+    with pytest.raises(ContextError, match="anchor YIII squares to -identity"):
+        find_magic_rectangles(rect_options(anchor_point=pt("YIII"), limit=limit))
+
+
+def test_raw_search_at_an_odd_y_anchor_returns_walk_rectangles():
+    """Without dedup no twin is taken, so YIII still yields the walk's
+    rectangles, as yielded."""
+    point = pt("YIII")
+    results = find_magic_rectangles(rect_options(anchor_point=point, limit=6, dedup=False))
+    walk = _RectangleWalk(point)
+    expected = list(itertools.islice(
+        (r for clique in walk.cliques() for r in walk.rectangles(*clique)), 6
+    ))
+    assert len(results) == 6
+    assert [packed_contexts(config) for config in results] == expected
 
 
 def test_warm_search_memory_per_result():
