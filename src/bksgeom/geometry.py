@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 MAX_QUBITS = 16
 
@@ -103,12 +103,6 @@ def third_point(p: SymplecticPoint, q: SymplecticPoint) -> SymplecticPoint:
     if p == q:
         raise ValueError("third_point needs two distinct points")
     return SymplecticPoint(p.n, p.x ^ q.x, p.z ^ q.z)
-
-
-def all_points(n: int) -> Iterator[SymplecticPoint]:
-    """Yield every point of PG(2N-1, 2) in ascending canonical value order."""
-    for value in range(1, 1 << (2 * n)):
-        yield SymplecticPoint.from_value(n, value)
 
 
 def _rref(values: Iterable[int], width: int) -> tuple[int, ...]:
@@ -203,13 +197,6 @@ def enumerate_points(s: Subspace) -> list[SymplecticPoint]:
     subset of the RREF basis.
     """
     return [SymplecticPoint.from_value(s.n, v) for v in sorted(_span_values(s.rows)[1:])]
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    """The smallest subspace containing both operands (the join A + B)."""
-    if a.n != b.n:
-        raise ValueError(f"subspaces live in different spaces (n={a.n} vs n={b.n})")
-    return Subspace(a.n, _rref(a.rows + b.rows, 2 * a.n))
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:

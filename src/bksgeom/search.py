@@ -24,7 +24,11 @@ bitsets of candidate points (see :func:`maximal_isotropic_through`), and
 keeps their point bitsets per anchor.  A rectangle on a clique is fixed
 by one further point on each of the six meet lines (kept per walk):
 each cap is the anchor, the points picked on its three lines, and their
-sum.  Every search is one stream of groups of packed contexts read up to
+sum.  The caps on three meet lines form an 8-bit mask of accepted picks,
+made once per walk; a clique's 64 pick combos are tested with the AND
+of its four caps' masks, so most cliques are rejected by masks alone.
+Each cap's packed context and its twin image are made once per walk.
+Every search is one stream of groups of packed contexts read up to
 ``limit`` by one collector that builds a MagicConfiguration only for a
 result that enters the list, and each distinct member and context of
 one call (validating each context) once.  Under dedup a rectangle and
@@ -145,19 +149,20 @@ def _collect(
     members: Dict[Tuple[int, int], PauliObservable] = {}
     contexts: Dict[PackedContext, Context] = {}
 
-    def context(packed: PackedContext) -> Context:
-        if packed not in contexts:
-            for member in packed:
-                if member not in members:
-                    members[member] = _from_packed(n, *member)
-            contexts[packed] = Context(tuple(members[m] for m in packed))
-        return contexts[packed]
+    def new_context(packed: PackedContext) -> Context:
+        for member in packed:
+            if member not in members:
+                members[member] = _from_packed(n, *member)
+        made = contexts[packed] = Context(tuple(members[m] for m in packed))
+        return made
 
     results: List[MagicConfiguration] = []
     for group in groups:
         if len(results) + len(group) > limit:
             break
-        results.extend(MagicConfiguration(tuple(map(context, packed))) for packed in group)
+        for packed in group:  # one dict lookup per slot; a Context is truthy
+            slots = [contexts.get(ctx) or new_context(ctx) for ctx in packed]
+            results.append(MagicConfiguration(tuple(slots)))
         if len(results) == limit:
             break
     return results
@@ -328,6 +333,21 @@ def _negative_affine(n: int, values: Sequence[int]) -> bool:
     return not any(packed_form(n, u, v) for u, v in itertools.combinations(values, 2))
 
 
+# The meet lines ab, ac, ad, bc, bd, cd of a 4-clique a < b < c < d are
+# slots 0-5 of a pick combo; these are the slots of caps a, b, c and d.
+_CAP_SLOTS = ((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5))
+
+
+@functools.cache
+def _spread(mask: int, cap: int) -> int:
+    """The 64-bit mask of the pick combos (bit i picks a point of meet
+    line i) on which cap ``cap`` of a clique is a cap, from its 8-bit mask
+    (see :meth:`_RectangleWalk._mask`) on its three slots."""
+    i, j, k = _CAP_SLOTS[cap]
+    triples = ((combo >> i & 1) << 2 | (combo >> j & 1) << 1 | combo >> k & 1 for combo in range(64))
+    return sum(1 << combo for combo, t in enumerate(triples) if mask >> t & 1)
+
+
 class _RectangleWalk:
     """State of the clique walk on packed values: Lagrangians, meet lines, caps.
 
@@ -343,8 +363,10 @@ class _RectangleWalk:
         self.n = anchor.n
         self.lagrangians, self._point_masks = _lagrangian_masks(anchor)
         self._lines: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-        self._caps: Dict[Tuple[int, int, int], Optional[Tuple[int, ...]]] = {}
+        self._caps: Dict[Tuple[int, int, int], Optional[PackedContext]] = {}
+        self._masks: Dict[Tuple[int, int, int], int] = {}
         self._twins: Optional[Dict[int, Tuple[int, int]]] = None
+        self._images: Dict[PackedContext, PackedContext] = {}
 
     def pair_ok(self, i: int, j: int) -> bool:
         """Spans must meet in a line: exactly three common points."""
@@ -352,95 +374,108 @@ class _RectangleWalk:
 
     def cliques(self) -> Iterator[Tuple[int, int, int, int]]:
         """Every 4-clique a < b < c < d of Lagrangians pairwise meeting
-        in lines, in lexicographic order."""
+        in lines, in lexicographic order; b, c and d are drawn from lists
+        of the later Lagrangians meeting every earlier pick in a line."""
         ok, count = self.pair_ok, len(self.lagrangians)
         for a in range(count):
-            for b in range(a + 1, count):
-                if not ok(a, b):
-                    continue
-                for c in range(b + 1, count):
-                    if not (ok(a, c) and ok(b, c)):
-                        continue
-                    for d in range(c + 1, count):
-                        if ok(a, d) and ok(b, d) and ok(c, d):
+            near_a = [b for b in range(a + 1, count) if ok(a, b)]
+            for i, b in enumerate(near_a, 1):
+                near_ab = [c for c in near_a[i:] if ok(b, c)]
+                for j, c in enumerate(near_ab, 1):
+                    for d in near_ab[j:]:
+                        if ok(c, d):
                             yield a, b, c, d
 
     def _line(self, i: int, j: int) -> Tuple[int, ...]:
         """The two points other than the anchor of the line that
         Lagrangians i and j meet in (see :meth:`pair_ok`), memoised per walk."""
-        if (i, j) not in self._lines:
+        line = self._lines.get((i, j))
+        if line is None:
             meet = self._point_masks[i] & self._point_masks[j] ^ 1 << self.anchor
-            self._lines[i, j] = tuple(_bits(meet))
-        return self._lines[i, j]
+            line = self._lines[i, j] = tuple(_bits(meet))
+        return line
 
-    def _cap(self, x: int, y: int, z: int) -> Optional[Tuple[int, ...]]:
-        """The sorted cap {p, x, y, z, p ^ x ^ y ^ z} through the anchor
-        p, or None unless its five points are distinct and nonzero (so
-        p, x, y and z are independent) and its canonical sign is +1.
-        Memoised per walk: the cliques share their meet lines."""
-        key = (x, y, z)
-        if key not in self._caps:
-            points = {self.anchor, x, y, z, self.anchor ^ x ^ y ^ z}
-            cap = None
-            if 0 not in points and len(points) == 5:
-                cap = tuple(sorted(points))
-                if packed_product(self.n, cap) != (1, 0):
-                    cap = None
-            self._caps[key] = cap
-        return self._caps[key]
+    def _cap(self, x: int, y: int, z: int) -> Optional[PackedContext]:
+        """The packed cap {p, x, y, z, p ^ x ^ y ^ z} through the anchor p,
+        sorted with sign +1, or None unless its five points are distinct
+        and nonzero (so p, x, y and z are independent) and its canonical
+        sign is +1.  Kept per walk for :meth:`rectangles`."""
+        points = {self.anchor, x, y, z, self.anchor ^ x ^ y ^ z}
+        cap = None
+        if 0 not in points and len(points) == 5:
+            values = sorted(points)
+            if packed_product(self.n, values) == (1, 0):
+                cap = tuple([(v, 1) for v in values])
+        self._caps[x, y, z] = cap
+        return cap
 
-    def rectangles(self, a: int, b: int, c: int, d: int) -> Iterator[Tuple[PackedContext, ...]]:
+    def _mask(self, x: Tuple[int, ...], y: Tuple[int, ...], z: Tuple[int, ...]) -> int:
+        """The 8-bit mask of the caps on three meet lines: bit 4i + 2j + k
+        is set when :meth:`_cap` accepts x[i], y[j], z[k].  Memoised per
+        walk, keyed on one point of each line (the cliques share their
+        meet lines)."""
+        key = (x[0], y[0], z[0])
+        mask = self._masks.get(key)
+        if mask is None:
+            triples = enumerate(itertools.product(x, y, z))
+            mask = self._masks[key] = sum(1 << t for t, picks in triples if self._cap(*picks))
+        return mask
+
+    def rectangles(self, a: int, b: int, c: int, d: int) -> List[Tuple[PackedContext, ...]]:
         """Packed contexts of every rectangle on the 4-clique a < b < c < d,
         sorted by their four caps.
 
         Each pair of caps shares the anchor and one point of its pair's
         meet line, so one point on each of the six lines fixes the
-        rectangle: s_ab, s_ac and s_ad give cap a, then s_bc and s_bd
-        give cap b, then s_cd gives caps c and d.  The anchor and the six
-        shared points each lie in an even number of caps, so the points
-        of odd multiplicity are each cap's fifth point, the anchor plus
-        its three picks.
+        rectangle.  Each cap's mask (:meth:`_mask`), spread over the 64
+        pick combos, leaves those on which it is a cap; most cliques lose
+        every combo before the fourth.  The anchor and the six shared
+        points each lie in an even number of caps, so the points of odd
+        multiplicity are each cap's fifth point, the anchor plus its
+        three picks.
         """
-        p = self.anchor
-        cap = self._cap
-        line_bc, line_bd, line_cd = self._line(b, c), self._line(b, d), self._line(c, d)
-        found = []
-        for s_ab, s_ac, s_ad in itertools.product(
-            self._line(a, b), self._line(a, c), self._line(a, d)
-        ):
-            cap_a = cap(s_ab, s_ac, s_ad)
-            if cap_a is None:
-                continue
-            for s_bc, s_bd in itertools.product(line_bc, line_bd):
-                cap_b = cap(s_ab, s_bc, s_bd)
-                if cap_b is None:
-                    continue
-                for s_cd in line_cd:
-                    cap_c, cap_d = cap(s_ac, s_bc, s_cd), cap(s_ad, s_bd, s_cd)
-                    if cap_c is None or cap_d is None:
-                        continue
-                    odd = tuple(sorted((
-                        p ^ s_ab ^ s_ac ^ s_ad,
-                        p ^ s_ab ^ s_bc ^ s_bd,
-                        p ^ s_ac ^ s_bc ^ s_cd,
-                        p ^ s_ad ^ s_bd ^ s_cd,
-                    )))
-                    if _negative_affine(self.n, odd):
-                        found.append((cap_a, cap_b, cap_c, cap_d, odd))
+        meet = self._line
+        lines = [meet(a, b), meet(a, c), meet(a, d)]
+        combos = _spread(self._mask(*lines), 0)
+        if not combos:
+            return []
+        lines += meet(b, c), meet(b, d), meet(c, d)
+        for cap, (i, j, k) in enumerate(_CAP_SLOTS[1:], 1):
+            combos &= _spread(self._mask(lines[i], lines[j], lines[k]), cap)
+            if not combos:
+                return []
+        p, caps, found = self.anchor, self._caps, []
+        for combo in _bits(combos):
+            picks = [line[combo >> i & 1] for i, line in enumerate(lines)]
+            s_ab, s_ac, s_ad, s_bc, s_bd, s_cd = picks
+            odd = sorted((
+                p ^ s_ab ^ s_ac ^ s_ad,
+                p ^ s_ab ^ s_bc ^ s_bd,
+                p ^ s_ac ^ s_bc ^ s_cd,
+                p ^ s_ad ^ s_bd ^ s_cd,
+            ))
+            if _negative_affine(self.n, odd):
+                quads = [caps[picks[i], picks[j], picks[k]] for i, j, k in _CAP_SLOTS]
+                found.append((*quads, tuple([(v, 1) for v in odd])))
         found.sort()
-        for rectangle in found:
-            yield tuple(tuple((v, 1) for v in ctx) for ctx in rectangle)
+        return found
 
     def keys(self, contexts: Tuple[PackedContext, ...]) -> List[Tuple[PackedContext, ...]]:
         """The :func:`_canonical` keys of a walk rectangle and of its twin;
         the twin's members come from a table of every value's twin, made by
         one :func:`twin_contexts` call.  Members are distinct, ascend with
-        sign +1, and a twin sign depends only on the value: sorting suffices."""
+        sign +1, and a twin sign depends only on the value: sorting suffices.
+        Each context's image is made once per walk."""
         if self._twins is None:
             values = range(1, 1 << 2 * self.n)
             twins = twin_contexts(self.n, self.anchor, [[(v, 1) for v in values]])
             self._twins = dict(zip(values, *twins))
-        twin = (tuple(sorted(self._twins[v] for v, _ in ctx)) for ctx in contexts)
+        twin = []
+        for ctx in contexts:
+            image = self._images.get(ctx)
+            if image is None:
+                image = self._images[ctx] = tuple(sorted(self._twins[v] for v, _ in ctx))
+            twin.append(image)
         return [tuple(sorted(contexts)), tuple(sorted(twin))]
 
     def holds(self, contexts: Sequence[PackedContext]) -> bool:

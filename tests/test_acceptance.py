@@ -26,12 +26,10 @@ from bksgeom.classify import (
 from bksgeom.cli import main
 from bksgeom.geometry import (
     SymplecticPoint,
-    all_points,
     enumerate_points,
     intersect,
     is_totally_isotropic,
     span,
-    subspace_sum,
     symplectic_form,
 )
 from bksgeom.magic import (
@@ -65,6 +63,8 @@ from bksgeom.search import (
     find_magic_rectangles,
     find_mermin_squares,
 )
+
+from reference_geometry import all_points, subspace_sum
 
 # ---------------------------------------------------------------------------
 # frozen expected values for the built-in configuration

@@ -11,17 +11,17 @@ from bksgeom.geometry import (
     SymplecticPoint,
     _rref,
     _span_values,
-    all_points,
     contains,
     enumerate_points,
     intersect,
     is_totally_isotropic,
     span,
-    subspace_sum,
     symplectic_form,
     third_point,
 )
 from bksgeom.pauli import parse_observable, to_symplectic
+
+from reference_geometry import all_points, subspace_sum
 
 
 def pt(word: str) -> SymplecticPoint:

@@ -1,5 +1,6 @@
 """Tests for contexts, configurations, certificates, and the twin map."""
 
+import functools
 import json
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bksgeom import magic
-from bksgeom.classify import KIND_LINE, projective_closure
+from bksgeom.classify import KIND_LINE, classify_set, projective_closure
 from bksgeom.cli import main
 from bksgeom.geometry import SymplecticPoint, enumerate_points
 from bksgeom.magic import (
@@ -39,7 +40,7 @@ from bksgeom.rectangle import (
     magic_rectangle,
     twin_rectangle,
 )
-from bksgeom.search import maximal_isotropic_through
+from bksgeom.search import SearchOptions, find_magic_rectangles, maximal_isotropic_through
 
 
 def pt(word: str) -> SymplecticPoint:
@@ -558,3 +559,63 @@ def test_quadric_contexts_share_two_points_pairwise():
             common = set(rect.contexts[i].points()) & set(rect.contexts[j].points())
             assert len(common) == 2
             assert anchor in common
+
+
+# ---------------------------------------------------------------------------
+# invariance under qubit permutations, Hadamards and sign gauges
+
+# H maps X <-> Z and Y (= XZ) to ZX = -Y: each letter's image and sign factor.
+HADAMARD_LETTERS = {"I": ("I", 1), "X": ("Z", 1), "Y": ("Y", -1), "Z": ("X", 1)}
+
+
+@functools.cache
+def _invariance_configs() -> tuple:
+    """Word lists of the built-in shapes, two satisfiable variants of the
+    rectangle, and raw search results at anchors holding Y letters."""
+    configs = [
+        CONTEXT_WORDS,
+        TWIN_CONTEXT_WORDS,
+        MERMIN_SQUARE,
+        CONTEXT_WORDS[:4],
+        (*CONTEXT_WORDS[:4], TWIN_CONTEXT_WORDS[4]),
+    ]
+    for word in ("YYYY", "XYYX"):
+        options = SearchOptions(4, anchor_point=pt(word), limit=3, dedup=False)
+        configs += [[ctx.words for ctx in c.contexts] for c in find_magic_rectangles(options)]
+    return tuple(tuple(tuple(words) for words in config) for config in configs)
+
+
+def _image(word: str, order, hadamards, gauge) -> str:
+    """A signed word negated when its letters are in gauge, with image
+    letter i taken from letter order[i], then H applied on each qubit in
+    hadamards."""
+    sign, letters = (-1, word[1:]) if word.startswith("-") else (1, word)
+    if letters in gauge:
+        sign = -sign
+    letters = [letters[i] for i in order]
+    for q in hadamards:
+        letters[q], factor = HADAMARD_LETTERS[letters[q]]
+        sign *= factor
+    return ("-" if sign < 0 else "") + "".join(letters)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_verdict_and_kinds_survive_permutations_hadamards_and_gauge_flips(data):
+    """A qubit permutation and Hadamards conjugate every context, and a
+    gauge flip negates a word wherever it occurs: neither may change the
+    verify verdict or the shape (kind and rank) of any context."""
+    config = data.draw(st.sampled_from(_invariance_configs()))
+    n = len(config[0][0].lstrip("-"))
+    letters = sorted({word.lstrip("-") for words in config for word in words})
+    order = data.draw(st.permutations(range(n)))
+    hadamards = data.draw(st.sets(st.integers(0, n - 1)))
+    gauge = data.draw(st.sets(st.sampled_from(letters)))
+    image = [[_image(word, order, hadamards, gauge) for word in words] for words in config]
+
+    before, after = (MagicConfiguration.from_words(c) for c in (config, image))
+    verdict = parity_witness(before).nchv_assignment_exists
+    assert parity_witness(after).nchv_assignment_exists == verdict
+    for ctx, ctx_image in zip(before.contexts, after.contexts):
+        label, label_image = classify_set(ctx.points()), classify_set(ctx_image.points())
+        assert (label_image.kind, label_image.ambient_rank) == (label.kind, label.ambient_rank)

@@ -29,7 +29,6 @@ from bksgeom.geometry import (
     is_totally_isotropic,
     packed_form,
     span,
-    subspace_sum,
 )
 from bksgeom.magic import (
     Context,
@@ -66,6 +65,8 @@ from bksgeom.search import (
     find_mermin_squares,
     maximal_isotropic_through,
 )
+
+from reference_geometry import subspace_sum
 
 
 def pt(word: str) -> SymplecticPoint:
@@ -536,19 +537,82 @@ def _cliques(walk) -> list:
     ]
 
 
-@pytest.mark.parametrize("word, rectangles", [("IXII", 2560), ("YYYY", 2776), ("XIIZ", 3072)])
+@pytest.mark.parametrize(
+    "word, rectangles", [("IXII", 2560), ("YYYY", 2776), ("XIIZ", 3072), ("YIII", 3156)]
+)
 def test_six_line_walk_matches_the_reference_walk(word, rectangles):
     """rectangles() on every 40th 4-clique against the reference walk,
-    order included."""
+    order included.  At the odd-Y anchor YIII the cap signs are not
+    affine in the picks."""
     walk, reference = _RectangleWalk(pt(word)), _ReferenceWalk(pt(word))
     cliques = _cliques(walk)
     assert len(cliques) == 137970
+    assert list(walk.cliques()) == cliques
     found = 0
     for clique in cliques[::40]:
         got = list(walk.rectangles(*clique))
         assert got == list(reference.rectangles(*clique)), clique
         found += len(got)
     assert found == rectangles
+
+
+@settings(max_examples=3, deadline=None)
+@given(word=st.sampled_from(["IXII", "YYYY", "YIII"]), start=st.integers(0, 999))
+@example(word="YYYY", start=0)
+@example(word="YIII", start=0)
+def test_pick_masks_match_the_cap_on_every_pick(word, start):
+    """On every 1000th clique: each 8-bit pick mask is _cap over its eight
+    pick triples, each spread mask is _cap over the 64 pick combos, and at
+    an even-Y anchor the combos on which all four caps are caps are closed
+    under taking the other point on every meet line (k -> k ^ 63)."""
+    walk = _RectangleWalk(pt(word))
+    carried = 0
+    for clique in itertools.islice(walk.cliques(), start, None, 1000):
+        lines = [walk._line(i, j) for i, j in itertools.combinations(clique, 2)]
+        combos = (1 << 64) - 1
+        for cap, slots in enumerate(search._CAP_SLOTS):
+            x, y, z = (lines[s] for s in slots)
+            mask = walk._mask(x, y, z)
+            triples = itertools.product(range(2), repeat=3)
+            assert mask == sum(
+                1 << 4 * i + 2 * j + k for i, j, k in triples if walk._cap(x[i], y[j], z[k])
+            )
+            spread = search._spread(mask, cap)
+            assert spread == sum(
+                1 << combo
+                for combo in range(64)
+                if walk._cap(*(lines[s][combo >> s & 1] for s in slots))
+            )
+            combos &= spread
+        if word.count("Y") % 2 == 0:
+            assert combos == sum(1 << (combo ^ 63) for combo in _bits(combos))
+        carried += combos != 0
+    assert carried > 0
+
+
+@pytest.mark.parametrize(
+    "word, caps, cliques", [("IXII", 2080, 714), ("YYYY", 3784, 1082), ("XIIZ", 936, 153)]
+)
+def test_warm_search_rejects_cliques_before_building_caps(monkeypatch, word, caps, cliques):
+    """A warm limit=1000 call builds the eight caps of each pick mask once
+    per walk and stops a clique's test at its first empty AND: testing
+    caps clique by clique made 33,616, 26,432 and 10,824 _cap calls on
+    the same cliques, and computing all four masks before the first test
+    4,768, 5,528 and 1,296."""
+    options = rect_options(anchor_point=pt(word), limit=1000)
+    find_magic_rectangles(options)
+    calls = {"_cap": 0, "rectangles": 0}
+    for name in calls:
+        method = getattr(_RectangleWalk, name)
+
+        def counted(self, *args, method=method, name=name):
+            calls[name] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(_RectangleWalk, name, counted)
+    assert len(find_magic_rectangles(options)) == 1000
+    assert calls["_cap"] == caps
+    assert calls["rectangles"] == cliques
 
 
 def _perp(anchor: int, points) -> list:
@@ -559,7 +623,7 @@ def _perp(anchor: int, points) -> list:
 @given(data=st.data(), word=st.sampled_from(["IXII", "YYYY"]))
 def test_cap_matches_the_shape_and_sign_oracles(data, word):
     """_cap(x, y, z) on commuting points of the anchor's perp against
-    classify_set and Context.canonical_sign."""
+    classify_set and Context.canonical_sign; a cap comes packed with sign +1."""
     anchor = pt(word).value
     candidates = _perp(anchor, range(1, 256))
     picks = []
@@ -576,7 +640,7 @@ def test_cap_matches_the_shape_and_sign_oracles(data, word):
             classify_set(points).kind == KIND_ELLIPTIC_QUADRIC
             and context.canonical_sign == 1
         ):
-            expected = tuple(sorted(values))
+            expected = tuple((v, 1) for v in sorted(values))
     assert _RectangleWalk(pt(word))._cap(*picks) == expected
 
 
