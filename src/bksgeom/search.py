@@ -20,21 +20,19 @@ with ``geometry._span_values``.
 Rectangle search walks 4-cliques of maximal totally isotropic subspaces
 through the anchor (pairwise meeting in lines) on packed integers.  It
 lists those Lagrangians by their greedy bases, each reached once, on
-bitsets of candidate points (see :func:`maximal_isotropic_through`), and
-keeps their point bitsets per anchor.  A rectangle on a clique is fixed
-by one further point on each of the six meet lines (kept per walk):
-each cap is the anchor, the points picked on its three lines, and their
-sum.  The caps on three meet lines form an 8-bit mask of accepted picks,
-made once per walk; a clique's 64 pick combos are tested with the AND
-of its four caps' masks, so most cliques are rejected by masks alone.
-Each cap's packed context and its twin image are made once per walk.
+bitsets of candidate points (see :func:`maximal_isotropic_through`).  A
+rectangle on a clique is fixed by one further point on each of the six
+meet lines: each cap is the anchor, its three picks and their sum.  The
+sign of a product of commuting words summing to zero is a quadratic
+form over GF(2) in the picks, so one product per three meet lines gives
+the 8-bit mask of their caps, and one per clique the 64-bit mask of
+negative affine contexts; the AND of these masks rejects most cliques.
 Every search is one stream of groups of packed contexts read up to
 ``limit`` by one collector that builds a MagicConfiguration only for a
 result that enters the list, and each distinct member and context of
-one call (validating each context) once.  Under dedup a rectangle and
-its twin form one group, so truncation by ``limit`` never separates
-them (an odd limit stops one pair earlier).  Their keys, sorted points
-(the twin's from a per-walk twin table), live for one clique.
+one call once.  Under dedup a rectangle and its twin form one group, so
+truncation by ``limit`` never separates them (an odd limit stops one
+pair earlier); their keys live for one clique.
 """
 
 from __future__ import annotations
@@ -325,27 +323,36 @@ def find_mermin_squares(options: SearchOptions) -> List[MagicConfiguration]:
 # rectangles
 
 
-def _negative_affine(n: int, values: Sequence[int]) -> bool:
-    """Whether the packed points sum to zero, pairwise commute and have
-    canonical product sign -1: a valid affine context of sign -1."""
-    if packed_product(n, values) != (-1, 0):
-        return False
-    return not any(packed_form(n, u, v) for u, v in itertools.combinations(values, 2))
-
-
 # The meet lines ab, ac, ad, bc, bd, cd of a 4-clique a < b < c < d are
 # slots 0-5 of a pick combo; these are the slots of caps a, b, c and d.
 _CAP_SLOTS = ((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5))
 
 
 @functools.cache
+def _zeros(sign: int, linear: int, q: int, width: int) -> int:
+    """The mask of the t < 2^width where sign + <linear, t> + q C(|t|, 2)
+    is 0 over GF(2); C(m, 2) is odd when bit 1 of m is set."""
+    forms = (sign ^ (linear & t).bit_count() ^ q & t.bit_count() >> 1 for t in range(1 << width))
+    return sum(1 << t for t, form in enumerate(forms) if not form & 1)
+
+
+@functools.cache
+def _fibers(cap: int) -> List[int]:
+    """The 64-bit masks of the pick combos (bit s picks a point of meet
+    line s) by index t: for cap 0-3 its bits on the cap's slots i, j, k as
+    4i + 2j + k, for cap 4 with bit a their XOR on cap a's slots."""
+    slots = _CAP_SLOTS if cap == 4 else [(s,) for s in _CAP_SLOTS[cap][::-1]]
+    rows = [sum(1 << s for s in row) for row in slots]  # bit r of t is a parity on rows[r]
+    fibers = [0] * (1 << len(rows))
+    for combo in range(64):
+        fibers[sum((combo & row).bit_count() % 2 << r for r, row in enumerate(rows))] |= 1 << combo
+    return fibers
+
+
+@functools.cache
 def _spread(mask: int, cap: int) -> int:
-    """The 64-bit mask of the pick combos (bit i picks a point of meet
-    line i) on which cap ``cap`` of a clique is a cap, from its 8-bit mask
-    (see :meth:`_RectangleWalk._mask`) on its three slots."""
-    i, j, k = _CAP_SLOTS[cap]
-    triples = ((combo >> i & 1) << 2 | (combo >> j & 1) << 1 | combo >> k & 1 for combo in range(64))
-    return sum(1 << combo for combo, t in enumerate(triples) if mask >> t & 1)
+    """The 64-bit mask of the pick combos whose index is in ``mask``."""
+    return sum(_fibers(cap)[t] for t in _bits(mask))
 
 
 class _RectangleWalk:
@@ -363,8 +370,9 @@ class _RectangleWalk:
         self.n = anchor.n
         self.lagrangians, self._point_masks = _lagrangian_masks(anchor)
         self._lines: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-        self._caps: Dict[Tuple[int, int, int], Optional[PackedContext]] = {}
+        self._betas: Dict[int, int] = {}
         self._masks: Dict[Tuple[int, int, int], int] = {}
+        self._caps: Dict[Tuple[int, int, int], PackedContext] = {}
         self._twins: Optional[Dict[int, Tuple[int, int]]] = None
         self._images: Dict[PackedContext, PackedContext] = {}
 
@@ -395,31 +403,60 @@ class _RectangleWalk:
             line = self._lines[i, j] = tuple(_bits(meet))
         return line
 
-    def _cap(self, x: int, y: int, z: int) -> Optional[PackedContext]:
-        """The packed cap {p, x, y, z, p ^ x ^ y ^ z} through the anchor p,
-        sorted with sign +1, or None unless its five points are distinct
-        and nonzero (so p, x, y and z are independent) and its canonical
-        sign is +1.  Kept per walk for :meth:`rectangles`."""
-        points = {self.anchor, x, y, z, self.anchor ^ x ^ y ^ z}
-        cap = None
-        if 0 not in points and len(points) == 5:
-            values = sorted(points)
-            if packed_product(self.n, values) == (1, 0):
-                cap = tuple([(v, 1) for v in values])
-        self._caps[x, y, z] = cap
-        return cap
+    def _beta(self, v: int) -> int:
+        """beta(p, v) = popcount(z_p & x_v) % 2, the sign bit of packed_product on (p, v)."""
+        if v not in self._betas:
+            self._betas[v] = int(packed_product(self.n, (self.anchor, v))[0] < 0)
+        return self._betas[v]
 
     def _mask(self, x: Tuple[int, ...], y: Tuple[int, ...], z: Tuple[int, ...]) -> int:
-        """The 8-bit mask of the caps on three meet lines: bit 4i + 2j + k
-        is set when :meth:`_cap` accepts x[i], y[j], z[k].  Memoised per
-        walk, keyed on one point of each line (the cliques share their
-        meet lines)."""
+        """The 8-bit mask of the caps on three meet lines, memoised per walk:
+        bit 4i + 2j + k is set when p, a = x[i], b = y[j], c = z[k] and
+        p ^ a ^ b ^ c are distinct and nonzero with canonical sign +1.
+
+        As a = x0 ^ i p, b = y0 ^ j p, c = z0 ^ k p, the points are distinct
+        and nonzero for all picks if p, x0, y0, z0 are independent, else for
+        none.  Commuting words summing to zero have sign exponent the XOR of
+        beta (:meth:`_beta`) over their pairs in any order (beta is bilinear
+        and symmetric on commuting pairs), so E(i, j, k) = E(0, 0, 0) +
+        i (b_y + b_z) + j (b_x + b_z) + k (b_x + b_y) + q (ij + ik + jk),
+        with b_v = beta(p, v0) and q = beta(p, p), 1 at odd-Y anchors.
+        """
         key = (x[0], y[0], z[0])
         mask = self._masks.get(key)
         if mask is None:
-            triples = enumerate(itertools.product(x, y, z))
-            mask = self._masks[key] = sum(1 << t for t, picks in triples if self._cap(*picks))
+            (x, y, z), p = key, self.anchor
+            mask = 0
+            if not {x ^ y, x ^ z, y ^ z, x ^ y ^ z} & {0, p}:
+                sign = int(packed_product(self.n, (p, x, y, z, p ^ x ^ y ^ z))[0] < 0)
+                bx, by, bz = map(self._beta, key)
+                mask = _zeros(sign, (by ^ bz) << 2 | (bx ^ bz) << 1 | bx ^ by, self._beta(p), 3)
+            self._masks[key] = mask
         return mask
+
+    def _cap(self, x: int, y: int, z: int) -> PackedContext:
+        """The sorted packed cap {p, x, y, z, p ^ x ^ y ^ z}, signs +1, made once per walk."""
+        if (x, y, z) not in self._caps:
+            points = sorted((self.anchor, x, y, z, self.anchor ^ x ^ y ^ z))
+            self._caps[x, y, z] = tuple([(v, 1) for v in points])
+        return self._caps[x, y, z]
+
+    def _affine(self, lines: Sequence[Tuple[int, ...]]) -> int:
+        """The 64-bit mask of the pick combos on a clique's six meet lines
+        whose odd points have product sign -1.
+
+        Cap i's odd point is b_i ^ e_i p, with b_i that of combo 0 and e_i
+        the XOR of the combo's bits on the cap's slots.  They commute: for
+        caps a, b the form is w(s_ad, s_bc) + w(s_ac, s_bd), s_xy on line
+        xy, and as Lagrangians are maximal both terms are 1 if p, s_ab,
+        s_ac, s_ad are independent, else 0.  So (see :meth:`_mask`) their
+        sign exponent is E_0 + sum_i e_i (B + beta(p, b_i)) + q sum_{i<j}
+        e_i e_j, where B = sum_i beta(p, b_i) is 0 as each line is in two caps.
+        """
+        base = [self.anchor ^ lines[i][0] ^ lines[j][0] ^ lines[k][0] for i, j, k in _CAP_SLOTS]
+        sign = int(packed_product(self.n, base)[0] < 0)
+        linear = sum(self._beta(b) << a for a, b in enumerate(base))
+        return _spread(_zeros(sign ^ 1, linear, self._beta(self.anchor), 4), 4)  # exponent 1
 
     def rectangles(self, a: int, b: int, c: int, d: int) -> List[Tuple[PackedContext, ...]]:
         """Packed contexts of every rectangle on the 4-clique a < b < c < d,
@@ -431,8 +468,8 @@ class _RectangleWalk:
         pick combos, leaves those on which it is a cap; most cliques lose
         every combo before the fourth.  The anchor and the six shared
         points each lie in an even number of caps, so the points of odd
-        multiplicity are each cap's fifth point, the anchor plus its
-        three picks.
+        multiplicity are each cap's fifth point, the anchor plus its three
+        picks, kept where they form an affine context of sign -1 (:meth:`_affine`).
         """
         meet = self._line
         lines = [meet(a, b), meet(a, c), meet(a, d)]
@@ -444,19 +481,12 @@ class _RectangleWalk:
             combos &= _spread(self._mask(lines[i], lines[j], lines[k]), cap)
             if not combos:
                 return []
-        p, caps, found = self.anchor, self._caps, []
-        for combo in _bits(combos):
+        p, found = self.anchor, []
+        for combo in _bits(combos & self._affine(lines)):
             picks = [line[combo >> i & 1] for i, line in enumerate(lines)]
-            s_ab, s_ac, s_ad, s_bc, s_bd, s_cd = picks
-            odd = sorted((
-                p ^ s_ab ^ s_ac ^ s_ad,
-                p ^ s_ab ^ s_bc ^ s_bd,
-                p ^ s_ac ^ s_bc ^ s_cd,
-                p ^ s_ad ^ s_bd ^ s_cd,
-            ))
-            if _negative_affine(self.n, odd):
-                quads = [caps[picks[i], picks[j], picks[k]] for i, j, k in _CAP_SLOTS]
-                found.append((*quads, tuple([(v, 1) for v in odd])))
+            quads = [self._cap(picks[i], picks[j], picks[k]) for i, j, k in _CAP_SLOTS]
+            odd = sorted(p ^ picks[i] ^ picks[j] ^ picks[k] for i, j, k in _CAP_SLOTS)
+            found.append((*quads, tuple([(v, 1) for v in odd])))
         found.sort()
         return found
 

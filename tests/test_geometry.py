@@ -150,6 +150,22 @@ def test_span_is_canonical_under_generator_shuffles():
     assert base.rank == 4
 
 
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 4), data=st.data())
+def test_rref_ignores_generator_order_and_redundant_sums(n, data):
+    """_rref of a list of rows equals that of any shuffle of it and of
+    the list with the XOR of some of its rows appended."""
+    width = 2 * n
+    rows = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=2 * width))
+    base = _rref(rows, width)
+    assert _rref(data.draw(st.permutations(rows)), width) == base
+    picked = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    redundant = 0
+    for row, pick in zip(rows, picked):
+        redundant ^= row if pick else 0
+    assert _rref([*rows, redundant], width) == base
+
+
 def test_span_requires_points():
     with pytest.raises(ValueError):
         span([])

@@ -1,8 +1,10 @@
 """Tests for contexts, configurations, certificates, and the twin map."""
 
 import functools
+import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -599,19 +601,59 @@ def _image(word: str, order, hadamards, gauge) -> str:
     return ("-" if sign < 0 else "") + "".join(letters)
 
 
+# Real matrices of the letters, Y = XZ, for conjugating words by CNOTs.
+_LETTER_MATRICES = {
+    "I": np.eye(2, dtype=int),
+    "X": np.array([[0, 1], [1, 0]]),
+    "Y": np.array([[0, -1], [1, 0]]),
+    "Z": np.array([[1, 0], [0, -1]]),
+}
+
+
+def _word_matrix(word: str) -> np.ndarray:
+    sign, letters = (-1, word[1:]) if word.startswith("-") else (1, word)
+    return sign * functools.reduce(np.kron, (_LETTER_MATRICES[c] for c in letters))
+
+
+@functools.cache
+def _words_by_matrix(n: int) -> dict:
+    """Every signed n-qubit word, keyed by the bytes of its matrix."""
+    table = {}
+    for letters in itertools.product("IXYZ", repeat=n):
+        word = "".join(letters)
+        table[_word_matrix(word).tobytes()] = word
+        table[_word_matrix("-" + word).tobytes()] = "-" + word
+    return table
+
+
+def _cnot_image(word: str, control: int, target: int) -> str:
+    """The word conjugated by CNOT with the given control and target
+    qubits (qubit 0 is the leftmost letter, the most significant bit of
+    a basis index); CNOT is a real permutation and its own inverse."""
+    n = len(word.lstrip("-"))
+    flip = 1 << n - 1 - target
+    gate = np.zeros((1 << n, 1 << n), dtype=int)
+    for b in range(1 << n):
+        gate[b ^ flip if b >> n - 1 - control & 1 else b, b] = 1
+    return _words_by_matrix(n)[(gate @ _word_matrix(word) @ gate).tobytes()]
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_verdict_and_kinds_survive_permutations_hadamards_and_gauge_flips(data):
-    """A qubit permutation and Hadamards conjugate every context, and a
-    gauge flip negates a word wherever it occurs: neither may change the
-    verify verdict or the shape (kind and rank) of any context."""
+    """A qubit permutation, Hadamards and CNOTs conjugate every context,
+    and a gauge flip negates a word wherever it occurs: none may change
+    the verify verdict or the shape (kind and rank) of any context."""
     config = data.draw(st.sampled_from(_invariance_configs()))
     n = len(config[0][0].lstrip("-"))
     letters = sorted({word.lstrip("-") for words in config for word in words})
     order = data.draw(st.permutations(range(n)))
     hadamards = data.draw(st.sets(st.integers(0, n - 1)))
     gauge = data.draw(st.sets(st.sampled_from(letters)))
+    cnots = data.draw(st.lists(st.permutations(range(n)).map(lambda qubits: qubits[:2]), max_size=2))
     image = [[_image(word, order, hadamards, gauge) for word in words] for words in config]
+    for control, target in cnots:
+        image = [[_cnot_image(word, control, target) for word in words] for words in image]
 
     before, after = (MagicConfiguration.from_words(c) for c in (config, image))
     verdict = parity_witness(before).nchv_assignment_exists

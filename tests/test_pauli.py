@@ -1,10 +1,14 @@
 """Tests for the sign-tracked real Pauli algebra."""
 
 import functools
+import itertools
+import operator
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bksgeom.geometry import SymplecticPoint, symplectic_form
 from bksgeom.pauli import (
@@ -16,6 +20,7 @@ from bksgeom.pauli import (
     from_symplectic,
     identity,
     multiply,
+    packed_product,
     parse_observable,
     point_word,
     product_of_set,
@@ -77,14 +82,19 @@ def test_parse_length_limit():
         parse_observable("X" * (MAX_QUBITS + 1))
 
 
-def test_format_round_trip():
-    rng = random.Random(20240817)
-    for _ in range(200):
-        n = rng.randint(1, 8)
-        word = "".join(rng.choice("IXZY") for _ in range(n))
-        sign = rng.choice(["", "-"])
-        obs = parse_observable(sign + word)
-        assert parse_observable(format_observable(obs)) == obs
+@settings(max_examples=200, deadline=None)
+@given(
+    prefix=st.sampled_from(["", "+", "-", "\u2212"]),
+    word=st.text(alphabet="IXZY", min_size=1, max_size=MAX_QUBITS),
+    pad=st.sampled_from(["", " ", "\t"]),
+)
+def test_parse_format_round_trip_property(prefix, word, pad):
+    """Formatting a parsed word gives the word with a plain "-" exactly
+    when it is negative, and parsing that gives the observable back."""
+    obs = parse_observable(pad + prefix + word + pad)
+    text = format_observable(obs)
+    assert text == ("-" if prefix in ("-", "\u2212") else "") + word
+    assert parse_observable(text) == obs
 
 
 def test_format_positive_has_no_prefix():
@@ -188,20 +198,25 @@ def test_mixed_sizes_rejected():
         product_of_set([parse_observable("X"), parse_observable("Z"), parse_observable("XX")])
 
 
-def test_form_and_commutes_match_letter_count_n16():
+# Two letters anticommute exactly when both are non-I and they differ.
+_ANTICOMMUTE = {(a, b): a != "I" and b != "I" and a != b for a in "IXZY" for b in "IXZY"}
+
+
+def _letter_form(u: str, v: str) -> int:
+    """The symplectic form of two words, counted letter by letter."""
+    return sum(_ANTICOMMUTE[pair] for pair in zip(u, v)) % 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, MAX_QUBITS))
+def test_commutes_matches_the_letter_table(data, n):
     """Reference shared with no bitmask code: two words anticommute iff
     the positions where both letters are non-I and differ are odd in number."""
-    rng = random.Random(73)
-    checked = 0
-    while checked < 1000:
-        words = ["".join(rng.choice("IXZY") for _ in range(16)) for _ in range(2)]
-        if "I" * 16 in words:
-            continue
-        clashes = sum(1 for p, q in zip(*words) if p != "I" and q != "I" and p != q)
-        a, b = (parse_observable(w) for w in words)
-        assert symplectic_form(to_symplectic(a), to_symplectic(b)) == clashes % 2
-        assert commutes(a, b) == (clashes % 2 == 0)
-        checked += 1
+    words = [data.draw(st.text(alphabet="IXZY", min_size=n, max_size=n)) for _ in range(2)]
+    a, b = (parse_observable(w) for w in words)
+    assert commutes(a, b) == (_letter_form(*words) == 0)
+    if not (a.is_identity or b.is_identity):
+        assert symplectic_form(to_symplectic(a), to_symplectic(b)) == _letter_form(*words)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +248,36 @@ def test_product_of_set_matches_matrices_random():
         ]
         want = functools.reduce(np.matmul, [matrix_of(o) for o in obs])
         assert np.array_equal(matrix_of(product_of_set(obs)), want)
+
+
+def _beta(n: int, u: int, v: int) -> int:
+    """popcount(z_u & x_v) mod 2: the flips of the packed pair (u, v)."""
+    return (u & ((1 << n) - 1) & v >> n).bit_count() & 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3))
+def test_commuting_product_sign_is_the_pair_form_in_every_order(data, n):
+    """Pairwise-commuting positive words with XOR 0 (any words, then their
+    sum) multiply to (-1)^e times the identity, with e the XOR of beta
+    over the pairs, in every order; so do their real matrices."""
+    observables = [PauliObservable(n, v >> n, v & ((1 << n) - 1)) for v in range(1 << 2 * n)]
+    words: list = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        candidates = [
+            v
+            for v, obs in enumerate(observables)
+            if not any(_letter_form(observables[u].letters, obs.letters) for u in words)
+        ]
+        words.append(data.draw(st.sampled_from(candidates)))
+    words.append(functools.reduce(operator.xor, words))
+    exponent = functools.reduce(
+        operator.xor, (_beta(n, u, v) for u, v in itertools.combinations(words, 2)), 0
+    )
+    for order in itertools.permutations(words):
+        assert packed_product(n, order) == ((-1) ** exponent, 0)
+    matrices = [matrix_of(observables[v]) for v in words]
+    assert np.array_equal(functools.reduce(np.matmul, matrices), (-1) ** exponent * np.eye(1 << n))
 
 
 def test_product_of_set_empty_rejected():

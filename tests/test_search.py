@@ -57,7 +57,6 @@ from bksgeom.search import (
     SearchOptions,
     _bits,
     _RectangleWalk,
-    _negative_affine,
     canonical_config,
     cap_census,
     enumerate_caps,
@@ -345,6 +344,15 @@ def test_cap_table_and_points_match_the_grower_and_subset_loop():
         assert enumerate_caps(sub) == [tuple(points[i] for i in row) for row in rows]
 
 
+def _negative_affine(n: int, values: Sequence[int]) -> bool:
+    """Whether the packed points sum to zero, pairwise commute and have
+    canonical product sign -1: a valid affine context of sign -1.  The
+    reference for the walk's affine sign masks."""
+    if packed_product(n, values) != (-1, 0):
+        return False
+    return not any(packed_form(n, u, v) for u, v in itertools.combinations(values, 2))
+
+
 # The walk that mapped a 56-row anchored cap table into each Lagrangian
 # and bucketed caps into per-pair compatibility masks, which the six
 # meet-line picks replaced; kept here as the reference walk.
@@ -542,8 +550,9 @@ def _cliques(walk) -> list:
 )
 def test_six_line_walk_matches_the_reference_walk(word, rectangles):
     """rectangles() on every 40th 4-clique against the reference walk,
-    order included.  At the odd-Y anchor YIII the cap signs are not
-    affine in the picks."""
+    order included.  At the odd-Y anchor YIII the cap signs carry the
+    quadratic term q(p) (ij + ik + jk) in the picks (see
+    _RectangleWalk._mask)."""
     walk, reference = _RectangleWalk(pt(word)), _ReferenceWalk(pt(word))
     cliques = _cliques(walk)
     assert len(cliques) == 137970
@@ -556,17 +565,34 @@ def test_six_line_walk_matches_the_reference_walk(word, rectangles):
     assert found == rectangles
 
 
+def _reference_cap(walk, x: int, y: int, z: int):
+    """The per-pick cap test that the closed-form pick masks replaced:
+    the packed cap {p, x, y, z, p ^ x ^ y ^ z} through the anchor p,
+    sorted with sign +1, or None unless its five points are distinct and
+    nonzero and their sorted product has sign +1."""
+    points = {walk.anchor, x, y, z, walk.anchor ^ x ^ y ^ z}
+    if 0 in points or len(points) != 5:
+        return None
+    values = sorted(points)
+    if packed_product(walk.n, values) != (1, 0):
+        return None
+    return tuple((v, 1) for v in values)
+
+
 @settings(max_examples=3, deadline=None)
 @given(word=st.sampled_from(["IXII", "YYYY", "YIII"]), start=st.integers(0, 999))
+@example(word="IXII", start=0)
 @example(word="YYYY", start=0)
 @example(word="YIII", start=0)
 def test_pick_masks_match_the_cap_on_every_pick(word, start):
-    """On every 1000th clique: each 8-bit pick mask is _cap over its eight
-    pick triples, each spread mask is _cap over the 64 pick combos, and at
-    an even-Y anchor the combos on which all four caps are caps are closed
-    under taking the other point on every meet line (k -> k ^ 63)."""
+    """On every 1000th clique: each 8-bit pick mask is the per-pick cap
+    test over its eight pick triples, each spread mask is that test over
+    the 64 pick combos, the affine mask is _negative_affine on the sorted
+    odd points of all 64 combos, and at an even-Y anchor the combos on
+    which all four caps are caps are closed under taking the other point
+    on every meet line (k -> k ^ 63)."""
     walk = _RectangleWalk(pt(word))
-    carried = 0
+    carried = negative = 0
     for clique in itertools.islice(walk.cliques(), start, None, 1000):
         lines = [walk._line(i, j) for i, j in itertools.combinations(clique, 2)]
         combos = (1 << 64) - 1
@@ -574,44 +600,57 @@ def test_pick_masks_match_the_cap_on_every_pick(word, start):
             x, y, z = (lines[s] for s in slots)
             mask = walk._mask(x, y, z)
             triples = itertools.product(range(2), repeat=3)
-            assert mask == sum(
-                1 << 4 * i + 2 * j + k for i, j, k in triples if walk._cap(x[i], y[j], z[k])
-            )
+            caps = {4 * i + 2 * j + k: _reference_cap(walk, x[i], y[j], z[k]) for i, j, k in triples}
+            assert mask == sum(1 << t for t, cap_t in caps.items() if cap_t)
+            for t in _bits(mask):
+                assert walk._cap(x[t >> 2], y[t >> 1 & 1], z[t & 1]) == caps[t]
             spread = search._spread(mask, cap)
             assert spread == sum(
                 1 << combo
                 for combo in range(64)
-                if walk._cap(*(lines[s][combo >> s & 1] for s in slots))
+                if _reference_cap(walk, *(lines[s][combo >> s & 1] for s in slots))
             )
             combos &= spread
+        affine = 0
+        for combo in range(64):
+            picks = [line[combo >> s & 1] for s, line in enumerate(lines)]
+            odd = sorted(walk.anchor ^ picks[i] ^ picks[j] ^ picks[k] for i, j, k in search._CAP_SLOTS)
+            affine |= _negative_affine(walk.n, odd) << combo
+        assert walk._affine(lines) == affine
         if word.count("Y") % 2 == 0:
             assert combos == sum(1 << (combo ^ 63) for combo in _bits(combos))
         carried += combos != 0
-    assert carried > 0
+        negative += affine != 0
+    assert carried > 0 and negative > 0
 
 
 @pytest.mark.parametrize(
-    "word, caps, cliques", [("IXII", 2080, 714), ("YYYY", 3784, 1082), ("XIIZ", 936, 153)]
+    "word, products, cliques", [("IXII", 380, 714), ("YYYY", 753, 1082), ("XIIZ", 248, 153)]
 )
-def test_warm_search_rejects_cliques_before_building_caps(monkeypatch, word, caps, cliques):
-    """A warm limit=1000 call builds the eight caps of each pick mask once
-    per walk and stops a clique's test at its first empty AND: testing
-    caps clique by clique made 33,616, 26,432 and 10,824 _cap calls on
-    the same cliques, and computing all four masks before the first test
-    4,768, 5,528 and 1,296."""
+def test_warm_search_rejects_cliques_before_building_caps(monkeypatch, word, products, cliques):
+    """A warm limit=1000 call makes one product per pick mask, one per
+    clique that keeps a combo after its four masks and one per beta value
+    (each memoised per walk), and stops a clique's test at its first
+    empty AND.  Testing each of the eight picks of a mask, and each
+    surviving combo's affine context, made 4,192, 4,772 and 1,792
+    products on the same cliques."""
     options = rect_options(anchor_point=pt(word), limit=1000)
     find_magic_rectangles(options)
-    calls = {"_cap": 0, "rectangles": 0}
-    for name in calls:
-        method = getattr(_RectangleWalk, name)
+    calls = {"packed_product": 0, "rectangles": 0}
 
-        def counted(self, *args, method=method, name=name):
+    def counted(name, function):
+        def call(*args):
             calls[name] += 1
-            return method(self, *args)
+            return function(*args)
 
-        monkeypatch.setattr(_RectangleWalk, name, counted)
+        return call
+
+    monkeypatch.setattr(search, "packed_product", counted("packed_product", packed_product))
+    monkeypatch.setattr(
+        _RectangleWalk, "rectangles", counted("rectangles", _RectangleWalk.rectangles)
+    )
     assert len(find_magic_rectangles(options)) == 1000
-    assert calls["_cap"] == caps
+    assert calls["packed_product"] == products
     assert calls["rectangles"] == cliques
 
 
@@ -620,11 +659,14 @@ def _perp(anchor: int, points) -> list:
 
 
 @settings(max_examples=400, deadline=None)
-@given(data=st.data(), word=st.sampled_from(["IXII", "YYYY"]))
+@given(data=st.data(), word=st.sampled_from(["IXII", "YYYY", "YIII"]))
 def test_cap_matches_the_shape_and_sign_oracles(data, word):
-    """_cap(x, y, z) on commuting points of the anchor's perp against
-    classify_set and Context.canonical_sign; a cap comes packed with sign +1."""
-    anchor = pt(word).value
+    """The per-pick cap test on commuting points x, y, z of the anchor's
+    perp against classify_set and Context.canonical_sign (a cap comes
+    packed with sign +1), and the walk's pick mask on the three lines
+    through the anchor and x, y, z against it."""
+    walk = _RectangleWalk(pt(word))
+    anchor = walk.anchor
     candidates = _perp(anchor, range(1, 256))
     picks = []
     for _ in range(3):
@@ -641,7 +683,13 @@ def test_cap_matches_the_shape_and_sign_oracles(data, word):
             and context.canonical_sign == 1
         ):
             expected = tuple((v, 1) for v in sorted(values))
-    assert _RectangleWalk(pt(word))._cap(*picks) == expected
+    assert _reference_cap(walk, *picks) == expected
+    if anchor not in picks:  # the walk's lines hold two points besides the anchor
+        lines = [tuple(sorted((q, q ^ anchor))) for q in picks]
+        t = sum(line.index(q) << 2 - s for s, (q, line) in enumerate(zip(picks, lines)))
+        assert walk._mask(*lines) >> t & 1 == (expected is not None)
+        if expected:
+            assert walk._cap(*picks) == expected
 
 
 def test_quadrics_are_the_anchor_and_one_point_per_meet_line():
