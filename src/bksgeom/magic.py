@@ -19,6 +19,7 @@ all-positive words the two notions coincide.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -98,14 +99,14 @@ def validate_context(ctx: Context) -> int:
                 f"context mixes qubit counts ({n} and {obs.n})"
             )
     values = [obs.value for obs in observables]
-    for i, u in enumerate(values):
-        for j in range(i + 1, len(values)):
-            if packed_form(n, u, values[j]):
-                raise ContextError(
-                    f"observables {format_observable(observables[i])} and "
-                    f"{format_observable(observables[j])} do not commute"
-                )
     sign, rest = packed_product(n, values)
+    # At product +-I the last member is the others' sum, so by bilinearity pairs among them decide.
+    for i, j in itertools.combinations(range(len(values) - (not rest)), 2):
+        if packed_form(n, values[i], values[j]):
+            raise ContextError(
+                f"observables {format_observable(observables[i])} and "
+                f"{format_observable(observables[j])} do not commute"
+            )
     if rest:
         raise ContextError(
             f"context product is {format_observable(product_of_set(observables))}, "

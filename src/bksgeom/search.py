@@ -18,9 +18,9 @@ The census maps the 168 caps of PG(3, 2) in coordinates
 with ``geometry._span_values``.
 
 Rectangle search walks 4-cliques of maximal totally isotropic subspaces
-through the anchor (pairwise meeting in lines) on packed integers.  It
-lists those Lagrangians by their greedy bases, each reached once, on
-bitsets of candidate points (see :func:`maximal_isotropic_through`).  A
+through the anchor (pairwise meeting in lines) on packed integers.  One
+pass per anchor lists those Lagrangians, each once by its greedy basis,
+as RREF rows and point bitsets (see :func:`maximal_isotropic_through`).  A
 rectangle on a clique is fixed by one further point on each of the six
 meet lines: each cap is the anchor, its three picks and their sum.  The
 sign of a product of commuting words summing to zero is a quadratic
@@ -50,6 +50,7 @@ from .geometry import (
     _rref,
     _span_values,
     packed_form,
+    reduce_row,
     span,
 )
 from .magic import (
@@ -201,36 +202,37 @@ def maximal_isotropic_through(point: SymplecticPoint) -> Tuple[Subspace, ...]:
     exceeds the last pick and has a 0 at the top bit of p and of each
     earlier pick, and any picks meeting those conditions are the greedy
     basis of their span.  The candidates are a bitset over the 2^(2N)
-    packed values, and only the leaves are brought to RREF.
+    packed values.  A pick has a 0 at the earlier picks' top bits and a
+    higher one, so the RREF rows are the picks and p reduced by them.
     """
+    return tuple(Subspace(point.n, rows) for rows in _lagrangians(point)[0])
+
+
+@functools.lru_cache(maxsize=8)
+def _lagrangians(point: SymplecticPoint) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]:
+    """The sorted RREF rows of the Lagrangians through the point, and their point bitsets."""
     n, width, p = point.n, 2 * point.n, point.value
     full = (1 << (1 << width)) - 1
     # top[b]: the values with bit b set, the upper half of each run of
     # 2^(b+1) values.  anti[v]: the values that anticommute with v.  It is
     # linear in v, and unit vector i anticommutes with the values that
-    # have bit j set, for the one unit vector j it anticommutes with.
+    # have bit (i + N) mod 2N set, the X or Z bit of the same qubit.
     top = [full // ((1 << (2 << b)) - 1) * ((1 << (1 << b)) - 1 << (1 << b)) for b in range(width)]
-    anti = _span_values([
-        next(top[j] for j in range(width) if packed_form(n, 1 << i, 1 << j)) for i in range(width)
-    ])
-    stack = [((p,), full & ~1 & ~anti[p] & ~top[p.bit_length() - 1])]
-    found: List[Tuple[int, ...]] = []
+    anti = _span_values([top[(i + n) % width] for i in range(width)])
+    stack = [((), [0, p], full & ~1 & ~anti[p] & ~top[p.bit_length() - 1])]
+    found: List[Tuple[Tuple[int, ...], int]] = []
     while stack:
-        picks, candidates = stack.pop()
-        if len(picks) == n:
-            found.append(_rref(picks, width))
+        picks, values, candidates = stack.pop()
+        if len(picks) == n - 1:
+            rows = tuple(sorted((reduce_row(p, picks), *picks), reverse=True))
+            found.append((rows, sum(1 << v for v in values[1:])))
             continue
+        last = len(picks) == n - 2  # the next pick completes a basis
         for q in _bits(candidates):
-            narrowed = candidates & ~anti[q] & ~top[q.bit_length() - 1] & -(2 << q)
-            stack.append((picks + (q,), narrowed))
-    return tuple(Subspace(n, rows) for rows in sorted(found))
-
-
-@functools.lru_cache(maxsize=8)
-def _lagrangian_masks(point: SymplecticPoint) -> Tuple[Tuple[Subspace, ...], Tuple[int, ...]]:
-    """The Lagrangians through the point and each one's points as a bitset."""
-    lagrangians = maximal_isotropic_through(point)
-    return lagrangians, tuple(sum(1 << v for v in _span_values(sub.rows)[1:]) for sub in lagrangians)
+            narrowed = 0 if last else candidates & ~anti[q] & ~top[q.bit_length() - 1] & -(2 << q)
+            if narrowed or last:  # else a dead end
+                stack.append((picks + (q,), values + [v ^ q for v in values], narrowed))
+    return tuple(zip(*sorted(found)))
 
 
 def cap_census(options: SearchOptions) -> List[Tuple[Subspace, List[Tuple[SymplecticPoint, ...]]]]:
@@ -368,7 +370,7 @@ class _RectangleWalk:
     def __init__(self, anchor: SymplecticPoint):
         self.anchor = anchor.value
         self.n = anchor.n
-        self.lagrangians, self._point_masks = _lagrangian_masks(anchor)
+        self.lagrangians, self._point_masks = _lagrangians(anchor)
         self._lines: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._betas: Dict[int, int] = {}
         self._masks: Dict[Tuple[int, int, int], int] = {}
@@ -516,7 +518,7 @@ class _RectangleWalk:
         Lagrangians, four distinct ones pairwise meeting in lines; the
         sorted point sets must then equal those of a rectangle on them.
         """
-        index = {sub.rows: i for i, sub in enumerate(self.lagrangians)}
+        index = {rows: i for i, rows in enumerate(self.lagrangians)}
         spans = (_rref((v for v, _ in ctx), 2 * self.n) for ctx in contexts if len(ctx) == 5)
         clique = sorted(index.get(rows, -1) for rows in spans)
         if len(clique) != 4 or len(set(clique)) != 4 or clique[0] < 0:

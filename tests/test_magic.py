@@ -3,6 +3,7 @@
 import functools
 import itertools
 import json
+import operator
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from bksgeom.magic import (
 )
 from bksgeom.pauli import (
     PauliObservable,
+    _from_packed,
     commutes,
     format_observable,
     parse_observable,
@@ -165,6 +167,42 @@ def test_validate_context_matches_the_object_level_reference(ctx):
     if outcome is None:
         stripped = [PauliObservable(o.n, o.x, o.z) for o in ctx.observables]
         assert validate_context(ctx) == ctx.canonical_sign == product_of_set(stripped).sign
+
+
+def _small_contexts():
+    """(n, values): every context of up to 5 one-qubit or up to 3 two-qubit
+    members, and every two-qubit one of 2 to 4 members whose last is the
+    XOR of the others, so that its product is +-I."""
+    for n, size in ((1, 5), (2, 3)):
+        for k in range(1, size + 1):
+            for values in itertools.product(range(1 << 2 * n), repeat=k):
+                yield n, values
+    for k in range(1, 4):
+        for values in itertools.product(range(16), repeat=k):
+            yield 2, values + (functools.reduce(operator.xor, values),)
+
+
+def test_product_first_validation_keeps_every_pairs_first_outcome():
+    """validate_context checks the product first and, when it is +-I, only
+    the pairs among all members but the last.  Its outcome, error text
+    included, equals the pairs-first reference on every small context
+    with either sign on the last member, and on one whose last member
+    alone anticommutes while the product is not +-I."""
+    last_alone = Context.from_words(("XI", "IX", "ZZ"))
+    assert _outcome(validate_context, last_alone) == (
+        "ContextError", "observables XI and ZZ do not commute"
+    )
+    assert _outcome(_reference_validate, last_alone) == _outcome(validate_context, last_alone)
+    outcomes = set()
+    for n, values in _small_contexts():
+        members = [_from_packed(n, v, 1) for v in values]
+        for sign in (1, -1):
+            members[-1] = _from_packed(n, values[-1], sign)
+            ctx = Context(tuple(members))
+            outcome = _outcome(validate_context, ctx)
+            assert outcome == _outcome(_reference_validate, ctx), (n, values, sign)
+            outcomes.add(outcome and outcome[1].split()[-1])
+    assert outcomes == {None, "commute", "identity"}
 
 
 def test_negative_identity_context_is_valid():

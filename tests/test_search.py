@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bksgeom import _kernels, magic, search
+from bksgeom import _kernels, geometry, magic, search
 from bksgeom.classify import (
     KIND_AFFINE_PLANE,
     KIND_ELLIPTIC_QUADRIC,
@@ -235,21 +235,51 @@ def test_lagrangians_against_the_count_and_brute_force(word):
         assert {_closure(r) for r in rows} == _brute_force_lagrangians(n, anchor.value)
 
 
-def test_lagrangians_are_each_reduced_once(monkeypatch):
-    """The greedy-basis walk reaches each of the 135 Lagrangians through
-    IXII once and brings only those leaves to RREF: at most one RREF
-    call per Lagrangian."""
-    calls = []
-    rref = search._rref
-    monkeypatch.setattr(search, "_rref", lambda *a: calls.append(a) or rref(*a))
-    subs = maximal_isotropic_through.__wrapped__(anchor_point())
-    assert len(subs) == 135
-    assert len(calls) <= len(subs)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lagrangian_rows_and_bitsets_match_rref_and_span(n):
+    """At every anchor of n qubits, the pass's rows are the RREF of each
+    leaf's span and its bitsets are the span values of those rows, as
+    maximal_isotropic_through gives them."""
+    for value in range(1, 1 << 2 * n):
+        point = SymplecticPoint.from_value(n, value)
+        rows, masks = search._lagrangians(point)
+        assert len(rows) == len(masks) == math.prod((1 << i) + 1 for i in range(1, n))
+        assert list(rows) == sorted(rows)
+        assert tuple(sub.rows for sub in maximal_isotropic_through(point)) == rows
+        for basis, mask in zip(rows, masks):
+            assert _rref(_bits(mask), 2 * n) == basis
+            assert mask == sum(1 << v for v in _span_values(basis)[1:])
+            assert mask >> value & 1
+
+
+def test_cold_search_makes_no_rref_call_and_no_subspace(monkeypatch):
+    """A cold seedless limit=4 search reads each Lagrangian's RREF rows
+    off its greedy basis and never wraps them in a Subspace."""
+    calls = {"rref": 0, "subspace": 0}
+    rref, check = geometry._rref, geometry.Subspace.__post_init__
+
+    def counted_rref(*args):
+        calls["rref"] += 1
+        return rref(*args)
+
+    def counted_check(self):
+        calls["subspace"] += 1
+        check(self)
+
+    monkeypatch.setattr(search, "_rref", counted_rref)
+    monkeypatch.setattr(geometry, "_rref", counted_rref)
+    monkeypatch.setattr(geometry.Subspace, "__post_init__", counted_check)
+    search._lagrangians.cache_clear()
+    maximal_isotropic_through.cache_clear()
+    results = find_magic_rectangles(rect_options(limit=4))
+    assert len(results) == 4
+    assert calls == {"rref": 0, "subspace": 0}
 
 
 def test_pair_meet_rank_by_dimension_formula():
     walk = _RectangleWalk(anchor_point())
-    subs = walk.lagrangians
+    subs = maximal_isotropic_through(anchor_point())
+    assert tuple(sub.rows for sub in subs) == walk.lagrangians
     for i, j in itertools.combinations(range(len(subs)), 2):
         a, b = subs[i], subs[j]
         meet = intersect(a, b).rank
@@ -496,6 +526,7 @@ class _ReferenceWalk:
 def test_cap_table_matches_the_per_lagrangian_kernel(word):
     walk = _ReferenceWalk(pt(word))
     assert len(walk.lagrangians) == 135
+    assert tuple(sub.rows for sub in walk.lagrangians) == _RectangleWalk(pt(word)).lagrangians
     for i, sub in enumerate(walk.lagrangians):
         assert walk.caps(i) == _reference_anchored_caps(sub, pt(word).value)
 
@@ -1200,7 +1231,9 @@ def test_twins_lie_on_the_clique_of_their_rectangle(word, start):
     for one clique."""
     point = pt(word)
     walk = _RectangleWalk(point)
-    index = {sub.rows: i for i, sub in enumerate(walk.lagrangians)}
+    subs = maximal_isotropic_through(point)
+    assert tuple(sub.rows for sub in subs) == walk.lagrangians
+    index = {sub.rows: i for i, sub in enumerate(subs)}
 
     def spans(contexts):
         return sorted(index[_rref((v for v, _ in ctx), 8)] for ctx in contexts if len(ctx) == 5)
