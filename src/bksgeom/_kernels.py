@@ -1,18 +1,20 @@
 """Integer kernels: the valuation solve and the cap table.
 
 * ``valuation_scan``: the least noncontextual sign assignment of a
-  k-point universe, found by Gauss-Jordan elimination over GF(2) on
-  integer bitmask rows.  It has no size limit.
+  k-point universe, read off ``geometry._eliminate`` run on the
+  context constraints.  It has no size limit.
 * ``cap_subsets``: the 168 caps of PG(3, 2) in coordinates; the cap
   census maps it into a rank-4 subspace through a basis.
 
-Both are plain Python on ints and lists.  They share a module only
-because the benchmark's tracer times them under ``_kernels``.
+Both are plain Python on ints and lists.  The module exists for the
+benchmark's tracer, which times both under ``_kernels``.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from .geometry import _eliminate
 
 # ---------------------------------------------------------------------------
 # valuation solve
@@ -21,34 +23,22 @@ import itertools
 def valuation_scan(masks, parities, width: int) -> int:
     """Least v in [0, 2^width) with popcount(v & masks[c]) odd iff parities[c], else -1.
 
-    Each row is one GF(2) equation on the bits of v.  Gauss-Jordan
-    elimination keeps every row's pivot at its lowest set bit and clears
-    that bit from every other row, so the remaining bits of a row are
-    free bits above its pivot.  Setting every free bit to 0 and every
-    pivot bit to its row's parity then gives the least solution: any
-    other solution differs from it in a free bit, and the highest bit in
-    which the two differ is a free bit, 0 in this one.  A row that
-    reduces to zero with odd parity has no solution.
+    Each mask is one GF(2) equation on the bits of v.  Eliminating the
+    bit-reversed masks puts each row's pivot at its lowest set bit, in
+    no other row, so its other bits are free bits above the pivot; its
+    parity is that of the equations its input mask names.  Setting every
+    free bit to 0 and every pivot bit to its row's parity gives the least
+    solution: any other differs from it in a free bit, and the highest
+    bit in which the two differ is a free bit, 0 in this one.  A relation
+    with odd parity has no solution.
     """
     full = (1 << width) - 1
-    rows: list[list[int]] = []  # [pivot bit, mask, parity]
-    for mask, parity in zip(masks, parities):
-        mask, parity = int(mask) & full, int(parity) & 1
-        for pivot, row, odd in rows:
-            if mask & pivot:
-                mask ^= row
-                parity ^= odd
-        if not mask:
-            if parity:
-                return -1
-            continue
-        low = mask & -mask
-        for entry in rows:
-            if entry[1] & low:
-                entry[1] ^= mask
-                entry[2] ^= parity
-        rows.append([low, mask, parity])
-    return sum(pivot for pivot, _, odd in rows if odd)
+    odd = sum(1 << c for c, parity in enumerate(parities) if int(parity) & 1)
+    rows, relations = _eliminate(int(f"{int(mask) & full:0{width}b}"[::-1], 2) for mask in masks)
+    if any((r & odd).bit_count() & 1 for r in relations):
+        return -1
+    odd_rows = (row for row, used in rows.items() if (used & odd).bit_count() & 1)
+    return sum(1 << width - row.bit_length() for row in odd_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,19 @@ the special shapes out.
 
 Over GF(2) collinearity is XOR: three points are collinear exactly when
 they XOR to zero, and four points are coplanar in the quadric sense when
-some triple XORs to the fourth.
+some triple XORs to the fourth.  Both are relations that one
+elimination of the set (``geometry._eliminate``) finds with its rank.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .geometry import Subspace, SymplecticPoint, enumerate_points, span
+from .geometry import Subspace, SymplecticPoint, _eliminate, enumerate_points, span
 from .pauli import point_word
 
 KIND_SINGLE_POINT = "single_point"
@@ -72,24 +75,16 @@ def _checked_points(points: Sequence[SymplecticPoint]) -> list[SymplecticPoint]:
     return pts
 
 
-def _collinear_triple(values: Sequence[int]) -> Optional[tuple[int, int, int]]:
-    """A triple of indices whose points XOR to zero, if any."""
-    for i, j in itertools.combinations(range(len(values)), 2):
-        third = values[i] ^ values[j]
-        for k in range(j + 1, len(values)):
-            if values[k] == third:
-                return (i, j, k)
-    return None
-
-
-def _coplanar_quadruple(values: Sequence[int]) -> Optional[tuple[int, int, int, int]]:
-    """Indices of four points with XOR zero (an affine plane inside the set)."""
-    for i, j, k in itertools.combinations(range(len(values)), 3):
-        fourth = values[i] ^ values[j] ^ values[k]
-        for m in range(k + 1, len(values)):
-            if values[m] == fourth:
-                return (i, j, k, m)
-    return None
+def _dependent_sets(relations: Sequence[int], size: int) -> Iterator[tuple[int, ...]]:
+    """Index tuples of `size` points that XOR to zero, each once: the
+    members of that weight in the span of the relations.  Each relation
+    holds an index that no other holds, so a member of weight w sums at
+    most w relations."""
+    for count in range(1, size + 1):
+        for combo in itertools.combinations(relations, count):
+            mask = functools.reduce(operator.xor, combo)
+            if mask.bit_count() == size:
+                yield tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def is_cap(points: Sequence[SymplecticPoint]) -> bool:
@@ -97,9 +92,8 @@ def is_cap(points: Sequence[SymplecticPoint]) -> bool:
 
     Raises ValueError on duplicates, since a multiset cannot be a cap.
     """
-    pts = _checked_points(points)
-    values = [p.value for p in pts]
-    return _collinear_triple(values) is None
+    relations = _eliminate(p.value for p in _checked_points(points))[1]
+    return next(_dependent_sets(relations, 3), None) is None
 
 
 def classify_set(points: Sequence[SymplecticPoint]) -> ClassificationLabel:
@@ -112,72 +106,47 @@ def classify_set(points: Sequence[SymplecticPoint]) -> ClassificationLabel:
     points pass both and span rank 5.
     """
     pts = _checked_points(points)
-    values = [p.value for p in pts]
-    value_set = set(values)
-    rank = span(pts).rank
     k = len(pts)
+    rows, relations = _eliminate(p.value for p in pts)
+    rank = len(rows)
+    lines = sorted(_dependent_sets(relations, 3)) if k in (4, 5, 9) else []
 
-    def witness(words: Sequence[int]) -> str:
-        return " ".join(point_word(pts[i]) for i in words)
+    def generic(detail: str, witness: Sequence[int] = ()) -> ClassificationLabel:
+        words = (point_word(pts[i]) for i in witness)
+        return ClassificationLabel(KIND_GENERIC, rank, " ".join([detail, *words]))
 
     if k == 1:
         return ClassificationLabel(KIND_SINGLE_POINT, 1)
 
     if k == 3:
-        if values[0] ^ values[1] ^ values[2] == 0:
-            return ClassificationLabel(KIND_LINE, 2)
-        return ClassificationLabel(KIND_TRIANGLE, 3)
+        return ClassificationLabel(KIND_LINE if rank == 2 else KIND_TRIANGLE, rank)
+
+    if k in (4, 5) and lines:
+        return generic("collinear triple:", lines[0])
 
     if k == 4:
-        triple = _collinear_triple(values)
-        if triple is not None:
-            return ClassificationLabel(
-                KIND_GENERIC, rank, f"collinear triple: {witness(triple)}"
-            )
-        if values[0] ^ values[1] ^ values[2] ^ values[3] == 0:
+        # With no collinear triple, four distinct points are dependent
+        # exactly when all four XOR to zero.
+        if rank == 3:
             return ClassificationLabel(KIND_AFFINE_PLANE, 3)
-        return ClassificationLabel(
-            KIND_GENERIC, rank, "four points in general position (XOR sum nonzero)"
-        )
+        return generic("four points in general position (XOR sum nonzero)")
 
     if k == 5:
-        triple = _collinear_triple(values)
-        if triple is not None:
-            return ClassificationLabel(
-                KIND_GENERIC, rank, f"collinear triple: {witness(triple)}"
-            )
-        quad = _coplanar_quadruple(values)
-        if quad is not None:
-            return ClassificationLabel(
-                KIND_GENERIC, rank, f"coplanar quadruple: {witness(quad)}"
-            )
+        planes = sorted(_dependent_sets(relations, 4))
+        if planes:
+            return generic("coplanar quadruple:", planes[0])
         if rank == 4:
             return ClassificationLabel(KIND_ELLIPTIC_QUADRIC, 4)
 
     if k == 7 and rank == 3:
-        # Seven distinct points of rank 3 fill PG(2, 2), which is closed
-        # under XOR by definition; double-check anyway.
-        if all(a ^ b in value_set for a, b in itertools.combinations(values, 2)):
-            return ClassificationLabel(KIND_FANO_PLANE, 3)
+        # Seven distinct points of rank 3 fill PG(2, 2).
+        return ClassificationLabel(KIND_FANO_PLANE, 3)
 
-    if k == 9 and rank == 4:
-        lines = [
-            (i, j, k3)
-            for i, j in itertools.combinations(range(9), 2)
-            for k3 in range(j + 1, 9)
-            if values[i] ^ values[j] == values[k3]
-        ]
-        if len(lines) == 6:
-            per_point = [0] * 9
-            for line in lines:
-                for i in line:
-                    per_point[i] += 1
-            if all(c == 2 for c in per_point):
-                return ClassificationLabel(KIND_GRID, 4)
+    if k == 9 and rank == 4 and len(lines) == 6:
+        if all(sum(i in line for line in lines) == 2 for i in range(9)):
+            return ClassificationLabel(KIND_GRID, 4)
 
-    return ClassificationLabel(
-        KIND_GENERIC, rank, f"no recognised shape for {k} points of rank {rank}"
-    )
+    return generic(f"no recognised shape for {k} points of rank {rank}")
 
 
 def projective_closure(

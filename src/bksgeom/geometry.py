@@ -8,15 +8,18 @@ are totally ordered by that value.  Subspaces are kept in reduced row
 echelon form over GF(2), which makes equality of subspaces equality of
 row tuples.
 
-All arithmetic here is exact integer bit twiddling.  The two primitives
-on packed values, :func:`packed_form` (the symplectic form) and
-:func:`reduce_row` (reduction against echelon rows), are the only
-implementations of those operations in the package.
+All arithmetic here is exact integer bit twiddling.  The primitives on
+packed values, :func:`packed_form` (the symplectic form),
+:func:`reduce_row` (reduction against echelon rows) and :func:`_eliminate`
+(the GF(2) elimination), are the only implementations of those
+operations in the package.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -105,27 +108,34 @@ def third_point(p: SymplecticPoint, q: SymplecticPoint) -> SymplecticPoint:
     return SymplecticPoint(p.n, p.x ^ q.x, p.z ^ q.z)
 
 
-def _rref(values: Iterable[int], width: int) -> tuple[int, ...]:
-    """Reduced row echelon form of GF(2) row vectors given as integers.
+def _eliminate(values: Iterable[int]) -> tuple[dict[int, int], list[int]]:
+    """Gauss-Jordan elimination of GF(2) row vectors given as integers.
 
-    Pivots are chosen from the most significant bit downward and the
-    result is fully reduced, so any two generating sets of the same
-    subspace produce identical row tuples.  Rows come back sorted by
-    descending pivot position.
+    Returns (rows, relations).  rows maps each row of the reduced row
+    echelon form (pivots at the top bit, rows descending, so equal spans
+    give equal rows) to the bitmask of the inputs that XOR to it.  Each
+    input that reduces to zero gives a relation, the mask of inputs that
+    XOR to zero with it; rows absorb only inputs that became rows, so no
+    other relation holds that input, and the relations span all such masks.
     """
-    rows: list[int] = []
-    for value in values:
-        value = reduce_row(value, rows)
-        if value:
-            rows.append(value)
-            rows.sort(reverse=True)
-    # Back-substitute so each pivot appears in exactly one row.
-    for i in range(len(rows)):
-        for j in range(i):
-            pivot = rows[i].bit_length() - 1
-            if (rows[j] >> pivot) & 1:
-                rows[j] ^= rows[i]
-    return tuple(sorted(rows, reverse=True))
+    rows: list[list[int]] = []  # [pivot bit, row, inputs]
+    relations: list[int] = []
+    for i, value in enumerate(values):
+        inputs = 1 << i
+        for pivot, row, used in rows:
+            if value & pivot:
+                value ^= row
+                inputs ^= used
+        if not value:
+            relations.append(inputs)
+            continue
+        pivot = 1 << value.bit_length() >> 1
+        for entry in rows:
+            if entry[1] & pivot:
+                entry[1] ^= value
+                entry[2] ^= inputs
+        rows.append([pivot, value, inputs])
+    return dict(sorted(((row, used) for _, row, used in rows), reverse=True)), relations
 
 
 @dataclass(frozen=True)
@@ -168,7 +178,7 @@ def span(points: Iterable[SymplecticPoint]) -> Subspace:
     for p in pts:
         if p.n != n:
             raise ValueError(f"points live in different spaces (n={n} vs n={p.n})")
-    return Subspace(n, _rref((p.value for p in pts), 2 * n))
+    return Subspace(n, tuple(_eliminate(p.value for p in pts)[0]))
 
 
 def contains(s: Subspace, p: SymplecticPoint) -> bool:
@@ -200,18 +210,20 @@ def enumerate_points(s: Subspace) -> list[SymplecticPoint]:
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """The intersection of two subspaces via the Zassenhaus construction.
+    """The intersection of two subspaces.
 
-    Rows of the block matrix [[A, A], [B, 0]] are reduced; rows whose
-    left block is zero have right blocks spanning the intersection.
+    The A-part of each relation among A's rows followed by B's sums to a
+    vector of both; as each operand's rows are independent, these
+    vectors are a basis of the intersection.
     """
     if a.n != b.n:
         raise ValueError(f"subspaces live in different spaces (n={a.n} vs n={b.n})")
-    width = 2 * a.n
-    stacked = [(r << width) | r for r in a.rows] + [r << width for r in b.rows]
-    reduced = _rref(stacked, 2 * width)
-    inter = [row & ((1 << width) - 1) for row in reduced if row < (1 << width)]
-    return Subspace(a.n, _rref(inter, width))
+    relations = _eliminate(a.rows + b.rows)[1]
+    meet = (
+        functools.reduce(operator.xor, (row for i, row in enumerate(a.rows) if r >> i & 1))
+        for r in relations
+    )
+    return Subspace(a.n, tuple(_eliminate(meet)[0]))
 
 
 def is_totally_isotropic(s: Subspace) -> bool:

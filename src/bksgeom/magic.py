@@ -335,10 +335,10 @@ def config_from_packed(n: int, contexts: Iterable[PackedContext]) -> MagicConfig
 def twin_contexts(n: int, anchor: int, contexts: Iterable[PackedContext]) -> Tuple[PackedContext, ...]:
     """The twin map on packed contexts: the one implementation of the twin.
 
-    Every member other than the anchor itself is multiplied on the left
-    by the anchor's positive observable P, so (v, s) becomes
-    (anchor ^ v, s * sign of P * v); members equal to the anchor stay
-    fixed.  Raises ContextError when P squares to -identity.
+    Every member other than the anchor itself and the identity is
+    multiplied on the left by the anchor's positive observable P, so
+    (v, s) becomes (anchor ^ v, s * sign of P * v); the anchor and the
+    identity stay fixed.  Raises ContextError when P squares to -identity.
     """
     if packed_product(n, (anchor, anchor))[0] != 1:
         raise ContextError(
@@ -348,7 +348,7 @@ def twin_contexts(n: int, anchor: int, contexts: Iterable[PackedContext]) -> Tup
     return tuple(
         tuple(
             (value, sign)
-            if value == anchor
+            if value in (0, anchor)
             else (anchor ^ value, sign * packed_product(n, (anchor, value))[0])
             for value, sign in ctx
         )

@@ -47,7 +47,7 @@ from .geometry import (
     MAX_QUBITS,
     Subspace,
     SymplecticPoint,
-    _rref,
+    _eliminate,
     _span_values,
     packed_form,
     reduce_row,
@@ -519,7 +519,7 @@ class _RectangleWalk:
         sorted point sets must then equal those of a rectangle on them.
         """
         index = {rows: i for i, rows in enumerate(self.lagrangians)}
-        spans = (_rref((v for v, _ in ctx), 2 * self.n) for ctx in contexts if len(ctx) == 5)
+        spans = (tuple(_eliminate(v for v, _ in ctx)[0]) for ctx in contexts if len(ctx) == 5)
         clique = sorted(index.get(rows, -1) for rows in spans)
         if len(clique) != 4 or len(set(clique)) != 4 or clique[0] < 0:
             return False

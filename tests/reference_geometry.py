@@ -1,9 +1,26 @@
 """Point and subspace helpers that the package itself does not use, kept
-for the tests: every point of a space, and the join of two subspaces."""
+for the tests: every point of a space, the join of two subspaces, and
+independent implementations of what ``geometry._eliminate`` computes
+(reduced row echelon form, the Zassenhaus intersection, the valuation
+solve by Gauss-Jordan elimination with lowest-bit pivots, and the shape
+witnesses of ``classify_set`` by brute-force loops)."""
 
-from typing import Iterator
+import itertools
+from typing import Iterable, Iterator, Optional, Sequence
 
-from bksgeom.geometry import Subspace, SymplecticPoint, _rref
+from bksgeom.classify import (
+    KIND_AFFINE_PLANE,
+    KIND_ELLIPTIC_QUADRIC,
+    KIND_FANO_PLANE,
+    KIND_GENERIC,
+    KIND_GRID,
+    KIND_LINE,
+    KIND_SINGLE_POINT,
+    KIND_TRIANGLE,
+    ClassificationLabel,
+)
+from bksgeom.geometry import Subspace, SymplecticPoint, reduce_row
+from bksgeom.pauli import point_word
 
 
 def all_points(n: int) -> Iterator[SymplecticPoint]:
@@ -12,8 +29,130 @@ def all_points(n: int) -> Iterator[SymplecticPoint]:
         yield SymplecticPoint.from_value(n, value)
 
 
+def rref(values: Iterable[int]) -> tuple[int, ...]:
+    """Reduced row echelon form of GF(2) row vectors given as integers,
+    pivots at the most significant bit, rows sorted descending."""
+    rows: list[int] = []
+    for value in values:
+        value = reduce_row(value, rows)
+        if value:
+            rows.append(value)
+            rows.sort(reverse=True)
+    # Back-substitute so each pivot appears in exactly one row.
+    for i in range(len(rows)):
+        for j in range(i):
+            pivot = rows[i].bit_length() - 1
+            if (rows[j] >> pivot) & 1:
+                rows[j] ^= rows[i]
+    return tuple(sorted(rows, reverse=True))
+
+
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     """The smallest subspace containing both operands (the join A + B)."""
     if a.n != b.n:
         raise ValueError(f"subspaces live in different spaces (n={a.n} vs n={b.n})")
-    return Subspace(a.n, _rref(a.rows + b.rows, 2 * a.n))
+    return Subspace(a.n, rref(a.rows + b.rows))
+
+
+def zassenhaus_intersect(a: Subspace, b: Subspace) -> Subspace:
+    """The intersection of two subspaces via the Zassenhaus construction.
+
+    Rows of the block matrix [[A, A], [B, 0]] are reduced; rows whose
+    left block is zero have right blocks spanning the intersection.
+    """
+    width = 2 * a.n
+    stacked = [(r << width) | r for r in a.rows] + [r << width for r in b.rows]
+    reduced = rref(stacked)
+    inter = [row & ((1 << width) - 1) for row in reduced if row < (1 << width)]
+    return Subspace(a.n, rref(inter))
+
+
+def lsb_valuation_scan(masks, parities, width: int) -> int:
+    """Least v in [0, 2^width) with popcount(v & masks[c]) odd iff
+    parities[c], else -1, by Gauss-Jordan elimination that keeps every
+    row's pivot at its lowest set bit; free bits are set to 0."""
+    full = (1 << width) - 1
+    rows: list[list[int]] = []  # [pivot bit, mask, parity]
+    for mask, parity in zip(masks, parities):
+        mask, parity = int(mask) & full, int(parity) & 1
+        for pivot, row, odd in rows:
+            if mask & pivot:
+                mask ^= row
+                parity ^= odd
+        if not mask:
+            if parity:
+                return -1
+            continue
+        low = mask & -mask
+        for entry in rows:
+            if entry[1] & low:
+                entry[1] ^= mask
+                entry[2] ^= parity
+        rows.append([low, mask, parity])
+    return sum(pivot for pivot, _, odd in rows if odd)
+
+
+def collinear_triple(values: Sequence[int]) -> Optional[tuple[int, int, int]]:
+    """The lexicographically first triple of indices whose values XOR to zero."""
+    for i, j in itertools.combinations(range(len(values)), 2):
+        third = values[i] ^ values[j]
+        for k in range(j + 1, len(values)):
+            if values[k] == third:
+                return (i, j, k)
+    return None
+
+
+def coplanar_quadruple(values: Sequence[int]) -> Optional[tuple[int, int, int, int]]:
+    """The lexicographically first four indices whose values XOR to zero."""
+    for i, j, k in itertools.combinations(range(len(values)), 3):
+        fourth = values[i] ^ values[j] ^ values[k]
+        for m in range(k + 1, len(values)):
+            if values[m] == fourth:
+                return (i, j, k, m)
+    return None
+
+
+def brute_classify(points: Sequence[SymplecticPoint]) -> ClassificationLabel:
+    """``classify_set`` on distinct points by brute-force loops: the rank
+    from :func:`rref`, lines and planes from the XOR tests above, the
+    Fano plane by closure under XOR and the grid by its triple count."""
+    values = [p.value for p in points]
+    rank, k = len(rref(values)), len(values)
+
+    def generic(detail: str) -> ClassificationLabel:
+        return ClassificationLabel(KIND_GENERIC, rank, detail)
+
+    def witness(name: str, indices: Sequence[int]) -> ClassificationLabel:
+        return generic(f"{name}: " + " ".join(point_word(points[i]) for i in indices))
+
+    triple = collinear_triple(values)
+    if k == 1:
+        return ClassificationLabel(KIND_SINGLE_POINT, 1)
+    if k == 3:
+        return ClassificationLabel(*((KIND_LINE, 2) if triple else (KIND_TRIANGLE, 3)))
+    if k == 4:
+        if triple:
+            return witness("collinear triple", triple)
+        if values[0] ^ values[1] ^ values[2] ^ values[3] == 0:
+            return ClassificationLabel(KIND_AFFINE_PLANE, 3)
+        return generic("four points in general position (XOR sum nonzero)")
+    if k == 5:
+        if triple:
+            return witness("collinear triple", triple)
+        quad = coplanar_quadruple(values)
+        if quad:
+            return witness("coplanar quadruple", quad)
+        if rank == 4:
+            return ClassificationLabel(KIND_ELLIPTIC_QUADRIC, 4)
+    if k == 7 and rank == 3:
+        if all(a ^ b in values for a, b in itertools.combinations(values, 2)):
+            return ClassificationLabel(KIND_FANO_PLANE, 3)
+    if k == 9 and rank == 4:
+        lines = [
+            (i, j, m)
+            for i, j, m in itertools.combinations(range(9), 3)
+            if values[i] ^ values[j] == values[m]
+        ]
+        if len(lines) == 6 and all(sum(i in line for line in lines) == 2 for i in range(9)):
+            return ClassificationLabel(KIND_GRID, 4)
+    return generic(f"no recognised shape for {k} points of rank {rank}")

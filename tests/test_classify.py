@@ -1,5 +1,6 @@
 """Tests for geometric classification of point sets."""
 
+import itertools
 import random
 
 import pytest
@@ -21,6 +22,8 @@ from bksgeom.classify import (
 )
 from bksgeom.geometry import SymplecticPoint, enumerate_points, span
 from bksgeom.pauli import parse_observable, point_word, to_symplectic
+
+from reference_geometry import brute_classify, collinear_triple
 
 CONTEXT_WORDS = (
     ("ZIII", "IXII", "IIZI", "IIIX", "ZXZX"),
@@ -114,6 +117,30 @@ def test_five_independent_points_are_not_quadric():
     assert label.kind == KIND_GENERIC
     assert label.ambient_rank == 5
     assert label.detail == "no recognised shape for 5 points of rank 5"
+
+
+@pytest.mark.parametrize("size", [3, 4, 5, 9])
+def test_every_subset_of_pg32_matches_brute_force(size):
+    """Every 3-, 4-, 5- and 9-subset of PG(3, 2), each in a seeded random
+    order, gets the label and the witness text of the brute-force loops,
+    and is a cap exactly when they find no collinear triple."""
+    rng = random.Random(size)
+    for combo in itertools.combinations(range(1, 16), size):
+        points = [SymplecticPoint.from_value(2, v) for v in rng.sample(combo, size)]
+        assert classify_set(points) == brute_classify(points)
+        assert is_cap(points) == (collinear_triple([p.value for p in points]) is None)
+
+
+def test_random_sets_match_brute_force():
+    """Random sets of 1 to 12 points at N = 3 and 4 agree with the
+    brute-force loops in label, witness text and cap test."""
+    rng = random.Random(73)
+    for _ in range(2000):
+        n = rng.choice((3, 4))
+        values = rng.sample(range(1, 1 << 2 * n), rng.randint(1, 12))
+        points = [SymplecticPoint.from_value(n, v) for v in values]
+        assert classify_set(points) == brute_classify(points)
+        assert is_cap(points) == (collinear_triple(values) is None)
 
 
 @settings(max_examples=300, deadline=None)

@@ -18,10 +18,13 @@ import bksgeom.cli
 import bksgeom.magic
 from bksgeom.cli import build_report, emit_config_text, main, parse_config_text, read_config_file
 from bksgeom.magic import Context, MagicConfiguration
-from bksgeom.geometry import MAX_QUBITS, SymplecticPoint, _rref, _span_values, packed_form, reduce_row
+from bksgeom.geometry import MAX_QUBITS, SymplecticPoint, _span_values, packed_form, reduce_row
 from bksgeom.pauli import ParseError, format_observable, point_word
 from bksgeom.rectangle import CONTEXT_NAMES, CONTEXT_WORDS, TWIN_CONTEXT_WORDS, magic_rectangle
 from bksgeom.search import find_magic_rectangles
+
+from reference_geometry import rref
+
 
 RECT_FILE = """\
 # four-qubit rectangle
@@ -315,6 +318,28 @@ def test_complement_twice_restores_original(rect_path, tmp_path, capsys):
     assert body == emit_config_text(config, names)
 
 
+def test_identity_member_stays_fixed_under_the_twin(tmp_path, capsys):
+    """An identity member added to S1 stays the identity in the twin, as
+    the anchor does: verify reports a twin, complement exits 0, and
+    twinning twice gives the input back."""
+    path = tmp_path / "rect_with_identity.txt"
+    path.write_text(RECT_FILE.replace("ZXZX\n", "ZXZX\nIIII\n", 1), encoding="utf-8")
+    assert main(["verify", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "contradiction"
+    assert report["shared_point"] == "IXII"
+    assert report["twin"] is not None
+    assert main(["complement", str(path), "--point", "IXII"]) == 0
+    once = capsys.readouterr().out
+    assert parse_config_text(once)[0][1][0].letters == "IIII"
+    twin_path = tmp_path / "twin.txt"
+    twin_path.write_text(once, encoding="utf-8")
+    assert main(["complement", str(twin_path), "--point", "IXII"]) == 0
+    twice = capsys.readouterr().out.split("\n", 1)[1]
+    config, names = read_config_file(str(path))
+    assert twice == emit_config_text(config, names)
+
+
 def test_complement_imaginary_point_exits_2(rect_path, capsys):
     code = main(["complement", rect_path, "--point", "YIII"])
     assert code == 2
@@ -559,7 +584,7 @@ def _commuting_context(rng, n: int) -> list:
     basis: list = []
     for _ in range(rng.randint(1, n)):
         v = rng.randrange(1, 1 << 2 * n)
-        if all(packed_form(n, v, b) == 0 for b in basis) and reduce_row(v, _rref(basis, 2 * n)):
+        if all(packed_form(n, v, b) == 0 for b in basis) and reduce_row(v, rref(basis)):
             basis.append(v)
     values = _span_values(basis)[1:]
     members = rng.sample(values, rng.randint(1, len(values)))

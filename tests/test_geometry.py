@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from bksgeom.geometry import (
     Subspace,
     SymplecticPoint,
-    _rref,
+    _eliminate,
     _span_values,
     contains,
     enumerate_points,
@@ -21,7 +21,7 @@ from bksgeom.geometry import (
 )
 from bksgeom.pauli import parse_observable, to_symplectic
 
-from reference_geometry import all_points, subspace_sum
+from reference_geometry import all_points, rref, subspace_sum, zassenhaus_intersect
 
 
 def pt(word: str) -> SymplecticPoint:
@@ -153,17 +153,38 @@ def test_span_is_canonical_under_generator_shuffles():
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(1, 4), data=st.data())
 def test_rref_ignores_generator_order_and_redundant_sums(n, data):
-    """_rref of a list of rows equals that of any shuffle of it and of
-    the list with the XOR of some of its rows appended."""
+    """The rows _eliminate gives for a list of values equal those for
+    any shuffle of it and for the list with the XOR of some of its
+    values appended."""
     width = 2 * n
     rows = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=2 * width))
-    base = _rref(rows, width)
-    assert _rref(data.draw(st.permutations(rows)), width) == base
+    base = tuple(_eliminate(rows)[0])
+    assert tuple(_eliminate(data.draw(st.permutations(rows)))[0]) == base
     picked = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
     redundant = 0
     for row, pick in zip(rows, picked):
         redundant ^= row if pick else 0
-    assert _rref([*rows, redundant], width) == base
+    assert tuple(_eliminate([*rows, redundant])[0]) == base
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_eliminate_matches_brute_force_null_space(data):
+    """Up to 10 values of width up to 8: the rows are the reference RREF,
+    each row is the XOR of the inputs it records, the relations are a
+    basis of the brute-force null space (every mask of inputs XORing to
+    zero), and there are as many as inputs beyond the rank."""
+    width = data.draw(st.integers(1, 8))
+    values = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=10))
+    rows, relations = _eliminate(values)
+    assert tuple(rows) == rref(values)
+    sums = _span_values(values)  # sums[m]: the XOR of the inputs in mask m
+    for row, inputs in rows.items():
+        assert sums[inputs] == row
+    null = {m for m, total in enumerate(sums) if total == 0}
+    assert all(r in null for r in relations)
+    assert len(relations) == len(values) - len(rows)
+    assert set(_span_values(relations)) == null
 
 
 def test_span_requires_points():
@@ -198,18 +219,19 @@ def test_subspace_rejects_rows_outside_the_space(rows):
 @given(n=st.integers(1, 3), data=st.data())
 def test_subspace_check_agrees_with_rref(n, data):
     """The constructor accepts exactly the row tuples that lie in the
-    space and that _rref leaves as they are.  Half the draws start from
-    an RREF and flip a few bits, so both answers occur often."""
+    space and that the reference rref leaves as they are.  Half the
+    draws start from an RREF and flip a few bits, so both answers occur
+    often."""
     width = 2 * n
     values = st.integers(-2, (1 << width) + 2)
     rows = tuple(data.draw(st.lists(values, max_size=5)))
     if data.draw(st.booleans()):
-        rows = list(_rref([v for v in rows if 0 < v < 1 << width], width))
+        rows = list(rref(v for v in rows if 0 < v < 1 << width))
         for _ in range(data.draw(st.integers(0, 2)) if rows else 0):
             i = data.draw(st.integers(0, len(rows) - 1))
             rows[i] ^= 1 << data.draw(st.integers(0, width))
         rows = tuple(rows)
-    expected = all(0 < v < 1 << width for v in rows) and _rref(rows, width) == rows
+    expected = all(0 < v < 1 << width for v in rows) and rref(rows) == rows
     try:
         Subspace(n, rows)
     except ValueError:
@@ -285,6 +307,16 @@ def test_intersection_has_exactly_the_common_points(pair):
     assert set(_span_values(meet.rows)) == common
     assert len(common) == 1 << meet.rank
     assert a.rank + b.rank == subspace_sum(a, b).rank + meet.rank
+
+
+def test_intersect_matches_zassenhaus():
+    """The relation-based meet equals the Zassenhaus block-matrix meet on
+    random pairs of spans of up to 2N points at N <= 4."""
+    rng = random.Random(67)
+    for _ in range(600):
+        n = rng.randint(1, 4)
+        a, b = (span([rand_point(rng, n) for _ in range(rng.randint(1, 2 * n))]) for _ in "ab")
+        assert intersect(a, b) == zassenhaus_intersect(a, b)
 
 
 def test_empty_intersection_has_rank_zero():

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from bksgeom import _kernels
 
+from reference_geometry import lsb_valuation_scan
+
 
 def brute_valuation_scan(masks, parities, width):
     """Reference implementation in plain Python."""
@@ -67,6 +69,24 @@ def test_valuation_scan_property_matches_brute_force(instance):
     masks, parities, width = instance
     expect = brute_valuation_scan(masks, parities, width)
     assert _kernels.valuation_scan(masks, parities, width) == expect
+
+
+def test_valuation_scan_matches_lsb_elimination_at_width_20_to_40():
+    """Past the reach of brute force, the scan agrees with a Gauss-Jordan
+    elimination that keeps each pivot at its row's lowest bit.  Half the
+    systems take their parities from a hidden assignment, so both
+    verdicts occur often."""
+    rng = random.Random(71)
+    for _ in range(300):
+        width = rng.randint(20, 40)
+        masks = [rng.getrandbits(width) for _ in range(rng.randint(1, 2 * width))]
+        if rng.random() < 0.5:
+            hidden = rng.getrandbits(width)
+            parities = [(m & hidden).bit_count() & 1 for m in masks]
+        else:
+            parities = [rng.randrange(2) for _ in masks]
+        expect = lsb_valuation_scan(masks, parities, width)
+        assert _kernels.valuation_scan(masks, parities, width) == expect
 
 
 def test_valuation_scan_zero_width():

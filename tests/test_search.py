@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bksgeom import _kernels, geometry, magic, search
+from bksgeom import _kernels, classify, geometry, magic, search
 from bksgeom.classify import (
     KIND_AFFINE_PLANE,
     KIND_ELLIPTIC_QUADRIC,
@@ -22,7 +22,6 @@ from bksgeom.classify import (
 )
 from bksgeom.geometry import (
     SymplecticPoint,
-    _rref,
     _span_values,
     enumerate_points,
     intersect,
@@ -65,7 +64,7 @@ from bksgeom.search import (
     maximal_isotropic_through,
 )
 
-from reference_geometry import subspace_sum
+from reference_geometry import rref, subspace_sum
 
 
 def pt(word: str) -> SymplecticPoint:
@@ -247,33 +246,34 @@ def test_lagrangian_rows_and_bitsets_match_rref_and_span(n):
         assert list(rows) == sorted(rows)
         assert tuple(sub.rows for sub in maximal_isotropic_through(point)) == rows
         for basis, mask in zip(rows, masks):
-            assert _rref(_bits(mask), 2 * n) == basis
+            assert rref(_bits(mask)) == basis
             assert mask == sum(1 << v for v in _span_values(basis)[1:])
             assert mask >> value & 1
 
 
 def test_cold_search_makes_no_rref_call_and_no_subspace(monkeypatch):
     """A cold seedless limit=4 search reads each Lagrangian's RREF rows
-    off its greedy basis and never wraps them in a Subspace."""
-    calls = {"rref": 0, "subspace": 0}
-    rref, check = geometry._rref, geometry.Subspace.__post_init__
+    off its greedy basis, never runs the elimination and never wraps
+    the rows in a Subspace."""
+    calls = {"eliminate": 0, "subspace": 0}
+    eliminate, check = geometry._eliminate, geometry.Subspace.__post_init__
 
-    def counted_rref(*args):
-        calls["rref"] += 1
-        return rref(*args)
+    def counted_eliminate(*args):
+        calls["eliminate"] += 1
+        return eliminate(*args)
 
     def counted_check(self):
         calls["subspace"] += 1
         check(self)
 
-    monkeypatch.setattr(search, "_rref", counted_rref)
-    monkeypatch.setattr(geometry, "_rref", counted_rref)
+    for module in (geometry, search, classify, _kernels):
+        monkeypatch.setattr(module, "_eliminate", counted_eliminate)
     monkeypatch.setattr(geometry.Subspace, "__post_init__", counted_check)
     search._lagrangians.cache_clear()
     maximal_isotropic_through.cache_clear()
     results = find_magic_rectangles(rect_options(limit=4))
     assert len(results) == 4
-    assert calls == {"rref": 0, "subspace": 0}
+    assert calls == {"eliminate": 0, "subspace": 0}
 
 
 def test_pair_meet_rank_by_dimension_formula():
@@ -1236,7 +1236,7 @@ def test_twins_lie_on_the_clique_of_their_rectangle(word, start):
     index = {sub.rows: i for i, sub in enumerate(subs)}
 
     def spans(contexts):
-        return sorted(index[_rref((v for v, _ in ctx), 8)] for ctx in contexts if len(ctx) == 5)
+        return sorted(index[rref(v for v, _ in ctx)] for ctx in contexts if len(ctx) == 5)
 
     found = 0
     for clique in _cliques(walk)[start::40]:
