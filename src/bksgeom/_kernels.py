@@ -2,7 +2,7 @@
 
 * ``valuation_scan``: the least noncontextual sign assignment of a
   k-point universe, read off ``geometry._eliminate`` run on the
-  context constraints.  It has no size limit.
+  augmented context constraints.  It has no size limit.
 * ``cap_subsets``: the 168 caps of PG(3, 2) in coordinates; the cap
   census maps it into a rank-4 subspace through a basis.
 
@@ -23,22 +23,23 @@ from .geometry import _eliminate
 def valuation_scan(masks, parities, width: int) -> int:
     """Least v in [0, 2^width) with popcount(v & masks[c]) odd iff parities[c], else -1.
 
-    Each mask is one GF(2) equation on the bits of v.  Eliminating the
-    bit-reversed masks puts each row's pivot at its lowest set bit, in
-    no other row, so its other bits are free bits above the pivot; its
-    parity is that of the equations its input mask names.  Setting every
-    free bit to 0 and every pivot bit to its row's parity gives the least
-    solution: any other differs from it in a free bit, and the highest
-    bit in which the two differ is a free bit, 0 in this one.  A relation
-    with odd parity has no solution.
+    Each equation is an augmented row: the bit-reversed mask shifted left
+    by one, parity in bit 0.  Eliminating the rows puts each pivot at its
+    row's lowest unknown, in no other row, so its other unknowns are free
+    bits above the pivot.  A row 1 reads 0 = 1: no solution (its inputs
+    are the equations that cancel).  Otherwise setting every free bit to
+    0 and every pivot bit to its row's bit 0 gives the least solution:
+    any other differs from it in a free bit, and the highest bit in which
+    the two differ is a free bit, 0 in this one.
     """
     full = (1 << width) - 1
-    odd = sum(1 << c for c, parity in enumerate(parities) if int(parity) & 1)
-    rows, relations = _eliminate(int(f"{int(mask) & full:0{width}b}"[::-1], 2) for mask in masks)
-    if any((r & odd).bit_count() & 1 for r in relations):
+    rows = _eliminate(
+        int(f"{int(parity) & 1}{int(mask) & full:0{width}b}"[::-1], 2)
+        for mask, parity in zip(masks, parities)
+    )[0]
+    if 1 in rows:
         return -1
-    odd_rows = (row for row, used in rows.items() if (used & odd).bit_count() & 1)
-    return sum(1 << width - row.bit_length() for row in odd_rows)
+    return sum(1 << width + 1 - row.bit_length() for row in rows if row & 1)
 
 
 # ---------------------------------------------------------------------------

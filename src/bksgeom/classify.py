@@ -88,12 +88,13 @@ def _dependent_sets(relations: Sequence[int], size: int) -> Iterator[tuple[int, 
 
 
 def is_cap(points: Sequence[SymplecticPoint]) -> bool:
-    """Whether no three of the points are collinear.
+    """Whether no three of the points are collinear: no pair's sum a ^ b,
+    the third point of their line, lies in the set.
 
     Raises ValueError on duplicates, since a multiset cannot be a cap.
     """
-    relations = _eliminate(p.value for p in _checked_points(points))[1]
-    return next(_dependent_sets(relations, 3), None) is None
+    values = {p.value for p in _checked_points(points)}
+    return not any(a ^ b in values for a, b in itertools.combinations(values, 2))
 
 
 def classify_set(points: Sequence[SymplecticPoint]) -> ClassificationLabel:

@@ -38,7 +38,7 @@ from collections import Counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .classify import classify_set
-from .geometry import SymplecticPoint, enumerate_points, is_totally_isotropic, span
+from .geometry import Subspace, SymplecticPoint, enumerate_points, is_totally_isotropic
 from .magic import (
     Context,
     ContextError,
@@ -163,20 +163,17 @@ def emit_config_text(
 # reports
 
 
-def _context_entry(ctx: Context, name: Optional[str]) -> Dict:
-    """One report entry: the context's words, sign and geometry."""
-    pts = ctx.points()
-    distinct = list(dict.fromkeys(pts))
+def _context_entry(ctx: Context, name: Optional[str], sub: Optional[Subspace]) -> Dict:
+    """One report entry: the context's words, sign and geometry; sub is its span or None."""
     entry: Dict = {
         "name": name,
         "observables": _words(ctx),
         "sign": context_sign(ctx),
     }
-    if distinct:
-        sub = span(distinct)
+    if sub is not None:
         entry["rank"] = sub.rank
         entry["totally_isotropic"] = is_totally_isotropic(sub)
-        label = classify_set(distinct)
+        label = classify_set(list(dict.fromkeys(ctx.points())))
         entry["classification"] = label.kind
         if label.detail:
             entry["classification_detail"] = label.detail
@@ -194,11 +191,8 @@ def build_report(
 ) -> Tuple[Dict, int]:
     """The full verification report and its exit code."""
     report: Dict = {"qubits": config.n}
-    report["contexts"] = list(map(_context_entry, config.contexts, names))
-    report["multiplicities"] = {
-        point_word(p): config.multiplicities[p]
-        for p in sorted(config.multiplicities, key=lambda q: q.value)
-    }
+    report["contexts"] = list(map(_context_entry, config.contexts, names, config.context_spans()))
+    report["multiplicities"] = {point_word(p): config.multiplicities[p] for p in config.universe}
     cert = parity_witness(config)
     report["sign_product"] = cert.sign_product
     report["all_multiplicities_even"] = cert.all_multiplicities_even
@@ -320,7 +314,7 @@ def _render_classify(block: Dict) -> str:
 
 def cmd_classify(args: argparse.Namespace) -> Outcome:
     config, names = read_config_file(args.file)
-    entries = list(map(_context_entry, config.contexts, names))
+    entries = list(map(_context_entry, config.contexts, names, config.context_spans()))
     counts = Counter(entry["classification"] or "empty" for entry in entries)
     summary = ", ".join(f"{kind} x{c}" for kind, c in sorted(counts.items()))
     block = {"qubits": config.n, "contexts": entries, "summary": summary}

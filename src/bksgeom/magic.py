@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Dict, Iterable, Optional, Tuple
 
 from . import _kernels
@@ -165,12 +166,8 @@ class MagicConfiguration:
 
     @cached_property
     def universe(self) -> Tuple[SymplecticPoint, ...]:
-        """Distinct points appearing in any context, ascending by value."""
-        values: Dict[int, SymplecticPoint] = {}
-        for ctx in self.contexts:
-            for p in ctx.points():
-                values[p.value] = p
-        return tuple(values[v] for v in sorted(values))
+        """Distinct points of the contexts, ascending: the sorted keys of :attr:`multiplicities`."""
+        return tuple(sorted(self.multiplicities))
 
     @cached_property
     def multiplicities(self) -> Dict[SymplecticPoint, int]:
@@ -214,40 +211,26 @@ class ContradictionCertificate:
         return self.all_multiplicities_even and self.sign_product == -1
 
 
-def _scan_tables(config: MagicConfiguration) -> tuple[list[int], list[int], int]:
-    """One GF(2) row per context: a bitmask over universe indices and a parity."""
-    universe = config.universe
-    index = {p.value: i for i, p in enumerate(universe)}
-    masks: list[int] = []
-    parities: list[int] = []
-    for ctx, sign in zip(config.contexts, config.canonical_signs):
-        mask = 0
-        for p in ctx.points():
-            mask ^= 1 << index[p.value]
-        masks.append(mask)
-        parities.append(1 if sign == -1 else 0)
-    return masks, parities, len(universe)
-
-
 def exhaustive_nchv_check(
     config: MagicConfiguration,
 ) -> tuple[bool, Optional[Dict[SymplecticPoint, int]]]:
     """Decide whether the k-point universe has a noncontextual assignment.
 
-    Solves the context constraints exactly by GF(2) elimination, for any
-    k.  Returns (True, witness) with the least satisfying assignment in
-    an ascending binary enumeration of the universe (bit i set means
-    point i gets -1, so all +1 comes first), or (False, None) when every
+    Solves one GF(2) equation per context, on the universe points it
+    holds an odd number of times, exactly for any k.  Returns (True,
+    witness) with the least satisfying assignment in an ascending binary
+    enumeration of the universe (bit i set means point i gets -1, so all
+    +1 comes first), in universe order, or (False, None) when every
     assignment violates some context constraint.
     """
-    masks, parities, k = _scan_tables(config)
-    v = _kernels.valuation_scan(masks, parities, k)
+    universe = config.universe
+    bit = {p: 1 << i for i, p in enumerate(universe)}
+    masks = [reduce(operator.xor, map(bit.get, ctx.points()), 0) for ctx in config.contexts]
+    parities = [sign == -1 for sign in config.canonical_signs]
+    v = _kernels.valuation_scan(masks, parities, len(universe))
     if v < 0:
         return False, None
-    assignment = {
-        p: (-1 if (v >> i) & 1 else 1) for i, p in enumerate(config.universe)
-    }
-    return True, assignment
+    return True, {p: (-1 if (v >> i) & 1 else 1) for i, p in enumerate(universe)}
 
 
 def parity_witness(config: MagicConfiguration) -> ContradictionCertificate:
@@ -260,9 +243,7 @@ def parity_witness(config: MagicConfiguration) -> ContradictionCertificate:
     sign_product = math.prod(config.canonical_signs)
     all_even = all(m % 2 == 0 for m in config.multiplicities.values())
     exists, assignment = exhaustive_nchv_check(config)
-    witness: Optional[Tuple[Tuple[SymplecticPoint, int], ...]] = None
-    if assignment is not None:
-        witness = tuple(sorted(assignment.items(), key=lambda kv: kv[0].value))
+    witness = None if assignment is None else tuple(assignment.items())
     return ContradictionCertificate(sign_product, all_even, exists, witness)
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -141,6 +142,18 @@ def test_random_sets_match_brute_force():
         points = [SymplecticPoint.from_value(n, v) for v in values]
         assert classify_set(points) == brute_classify(points)
         assert is_cap(points) == (collinear_triple(values) is None)
+
+
+def test_large_affine_cap_is_decided_quickly():
+    """The 512 points of PG(9, 2) off a hyperplane (every value with the
+    top bit set) form a cap, since the sum of two has that bit clear.
+    One pass over the pairs decides it well under 0.5 s; a point of the
+    hyperplane added to them makes a line."""
+    points = [SymplecticPoint.from_value(5, v) for v in range(1 << 9, 1 << 10)]
+    start = time.perf_counter()
+    assert is_cap(points)
+    assert time.perf_counter() - start < 0.5
+    assert not is_cap(points + [SymplecticPoint.from_value(5, 1)])
 
 
 @settings(max_examples=300, deadline=None)

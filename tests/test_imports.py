@@ -1,5 +1,6 @@
 """Every module of the package uses each name it imports, every private
-module-level name is read, and every name the benchmark traces exists."""
+module-level name is read, every name the benchmark traces exists, and
+the README's library example runs."""
 
 import ast
 import importlib
@@ -98,3 +99,11 @@ def test_every_traced_name_resolves():
     assert ("_kernels", "valuation_scan") in names
     for module, function in names:
         assert callable(getattr(importlib.import_module(f"bksgeom.{module}"), function))
+
+
+def test_readme_library_example_runs():
+    """The fenced ``python`` block of README "Library" runs as written."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})

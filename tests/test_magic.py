@@ -19,6 +19,7 @@ from bksgeom.magic import (
     ContextError,
     MagicConfiguration,
     complement_config,
+    config_from_packed,
     context_sign,
     exhaustive_nchv_check,
     intersection_lines,
@@ -288,6 +289,38 @@ def test_multiplicities():
     assert mults["IXII"] == 4
     assert all(m == 2 for w, m in mults.items() if w != "IXII")
     assert sum(mults.values()) == 24
+
+
+@st.composite
+def _configuration(draw) -> MagicConfiguration:
+    """One to five valid contexts at one n <= 4.  Each takes members from
+    one Lagrangian, repeats allowed, closes them with their sum (which
+    may be the identity), mixes in identity members and random signs."""
+    n = draw(st.integers(1, 4))
+    contexts = []
+    for _ in range(draw(st.integers(1, 5))):
+        anchor = SymplecticPoint.from_value(n, draw(st.integers(1, (1 << 2 * n) - 1)))
+        points = enumerate_points(draw(st.sampled_from(maximal_isotropic_through(anchor))))
+        values = [p.value for p in draw(st.lists(st.sampled_from(points), min_size=1, max_size=4))]
+        values += [functools.reduce(operator.xor, values)] + [0] * draw(st.integers(0, 2))
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(values), max_size=len(values)))
+        contexts.append(tuple(zip(draw(st.permutations(values)), signs)))
+    return config_from_packed(n, contexts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_configuration())
+def test_universe_and_witness_follow_the_sorted_distinct_points(config):
+    """The universe is the sorted distinct non-identity points of the
+    contexts, and a witness lists exactly those points in that order."""
+    values = sorted({o.value for ctx in config.contexts for o in ctx.observables} - {0})
+    assert [p.value for p in config.universe] == values
+    assert set(config.universe) == set(config.multiplicities)
+    cert = parity_witness(config)
+    if cert.nchv_assignment_exists:
+        assert tuple(p for p, _ in cert.witness) == config.universe
+    else:
+        assert cert.witness is None
 
 
 def test_empty_configuration():
