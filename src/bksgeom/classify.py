@@ -33,17 +33,6 @@ KIND_FANO_PLANE = "fano_plane"
 KIND_GRID = "hyperbolic_quadric_grid"
 KIND_GENERIC = "generic"
 
-ALL_KINDS = (
-    KIND_SINGLE_POINT,
-    KIND_LINE,
-    KIND_TRIANGLE,
-    KIND_AFFINE_PLANE,
-    KIND_ELLIPTIC_QUADRIC,
-    KIND_FANO_PLANE,
-    KIND_GRID,
-    KIND_GENERIC,
-)
-
 
 @dataclass(frozen=True)
 class ClassificationLabel:

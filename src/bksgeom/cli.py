@@ -80,20 +80,15 @@ def parse_config_text(text: str) -> List[Tuple[Optional[str], List[PauliObservab
     blocks: List[Tuple[Optional[str], List[PauliObservable]]] = []
     name: Optional[str] = None
     members: List[PauliObservable] = []
-
-    def close_block() -> None:
-        nonlocal name, members
-        if members:
-            blocks.append((name, members))
-        elif name is not None:
-            raise ParseError(f"context {name!r} has no observables")
-        name = None
-        members = []
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # The end of the text closes the last block like a blank line.
+    for lineno, raw in enumerate(text.splitlines() + [""], start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
-            close_block()
+            if members:
+                blocks.append((name, members))
+            elif name is not None:
+                raise ParseError(f"context {name!r} has no observables")
+            name, members = None, []
             continue
         if line.lower().startswith("name:"):
             if members:
@@ -108,7 +103,6 @@ def parse_config_text(text: str) -> List[Tuple[Optional[str], List[PauliObservab
             members.append(parse_observable(line))
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
-    close_block()
     if not blocks:
         raise ParseError("no contexts in file")
     return blocks
@@ -344,22 +338,17 @@ def cmd_complement(args: argparse.Namespace) -> Outcome:
 
 
 def _search_options(args: argparse.Namespace) -> SearchOptions:
+    rectangle = args.shape == "hc_rectangle"
     anchor = _parse_anchor(args.anchor) if args.anchor else None
-    seed = None
-    if args.shape == "hc_rectangle":
-        if anchor is None:
-            anchor = anchor_point()
-        # The built-in configuration seeds the walk at its own
-        # perspectivity point so the known pair is always found first.
-        if anchor == anchor_point():
-            seed = magic_rectangle()
+    if rectangle and anchor is None:
+        anchor = anchor_point()
     return SearchOptions(
         qubit_count=args.qubits,
         anchor_point=anchor,
         shape=args.shape,
         limit=args.limit,
         dedup=not args.no_dedup,
-        seed=seed,
+        seed=rectangle,
     )
 
 

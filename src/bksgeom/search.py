@@ -32,7 +32,8 @@ Every search is one stream of groups of packed contexts read up to
 result that enters the list, and each distinct member and context of
 one call once.  Under dedup a rectangle and its twin form one group, so
 truncation by ``limit`` never separates them (an odd limit stops one
-pair earlier); their keys live for one clique.
+pair earlier); their keys live for one clique.  The ``seed`` flag puts
+the built-in pair first at IXII, and the walk skips it there.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .geometry import (
     MAX_QUBITS,
     Subspace,
     SymplecticPoint,
-    _eliminate,
     _span_values,
     packed_form,
     reduce_row,
@@ -62,7 +62,7 @@ from .magic import (
     twin_contexts,
 )
 from .pauli import PauliObservable, _from_packed, packed_product
-from .rectangle import anchor_point, magic_rectangle
+from .rectangle import anchor_point, magic_rectangle, twin_rectangle
 
 SHAPES = ("mermin_square", "hc_rectangle", "ovoid_census")
 
@@ -80,10 +80,9 @@ class SearchOptions:
         limit: maximum number of results to return (at least 1).
         dedup: canonicalise results and drop repeats; rectangles come
             with their twins only in this mode.
-        seed: a known rectangle to emit first, before the systematic
-            walk.  It must be one the walk itself would yield at the
-            anchor, up to member signs and the order of members and
-            contexts; anything else raises ValueError.
+        seed: emit the built-in rectangle (and under dedup its twin)
+            before the systematic walk, which then skips them; rectangle
+            search at the built-in anchor IXII only, ignored elsewhere.
     """
 
     qubit_count: int
@@ -91,7 +90,7 @@ class SearchOptions:
     shape: str = "hc_rectangle"
     limit: int = 4
     dedup: bool = True
-    seed: Optional[MagicConfiguration] = None
+    seed: bool = False
 
     def __post_init__(self) -> None:
         if self.shape not in SHAPES:
@@ -510,48 +509,27 @@ class _RectangleWalk:
             twin.append(image)
         return [tuple(sorted(contexts)), tuple(sorted(twin))]
 
-    def holds(self, contexts: Sequence[PackedContext]) -> bool:
-        """Whether packed contexts are one of the rectangles the walk
-        yields, in any member and context order and with any member signs.
-
-        The span of each five-member context must be one of the
-        Lagrangians, four distinct ones pairwise meeting in lines; the
-        sorted point sets must then equal those of a rectangle on them.
-        """
-        index = {rows: i for i, rows in enumerate(self.lagrangians)}
-        spans = (tuple(_eliminate(v for v, _ in ctx)[0]) for ctx in contexts if len(ctx) == 5)
-        clique = sorted(index.get(rows, -1) for rows in spans)
-        if len(clique) != 4 or len(set(clique)) != 4 or clique[0] < 0:
-            return False
-        if not all(self.pair_ok(i, j) for i, j in itertools.combinations(clique, 2)):
-            return False
-        points = sorted(tuple(sorted(v for v, _ in ctx)) for ctx in contexts)
-        return any(
-            points == sorted(tuple(v for v, _ in ctx) for ctx in rectangle)
-            for rectangle in self.rectangles(*clique)
-        )
-
 
 def _rectangle_groups(
-    walk: _RectangleWalk, seed: Optional[Tuple[PackedContext, ...]], dedup: bool
+    walk: _RectangleWalk, seed: bool, dedup: bool
 ) -> Iterator[List[Tuple[PackedContext, ...]]]:
     """The result stream of a rectangle search, in groups not to be split.
 
-    The seed comes first.  Without dedup each rectangle of the walk is a
-    group of its own, as yielded.  Under dedup each gives the new ones of
-    its and its twin's keys (:meth:`_RectangleWalk.keys`; the seed's, whose
-    signs are arbitrary, by :func:`_canonical`).  A key set that lives for
-    one clique suffices: each cap {p, x, y, z, p^x^y^z} spans its Lagrangian,
-    and so does the twin cap {p, p^x, p^y, p^z, x^y^z}, so every key
-    made on a clique has that clique's four cap spans.  The seed's two
-    keys lie on a clique the walk reaches, and join every clique's set.
+    With seed set the built-in rectangle comes first, and under dedup its
+    twin.  Without dedup each rectangle of the walk is a group of its
+    own, as yielded.  Under dedup each gives the new ones of its and its
+    twin's keys (:meth:`_RectangleWalk.keys`; the built-in pair's by
+    :func:`_canonical`).  A key set that lives for one clique suffices:
+    each cap {p, x, y, z, p^x^y^z} spans its Lagrangian, and so does the
+    twin cap {p, p^x, p^y, p^z, x^y^z}, so every key made on a clique has
+    that clique's four cap spans.  The built-in pair's two keys lie on a
+    clique the walk reaches, and join every clique's set.
     """
-
     first = []
-    if seed is not None:
-        first = [seed]
+    if seed:
+        first = [packed_contexts(magic_rectangle())]
         if dedup:
-            first = [_canonical(seed), _canonical(twin_contexts(walk.n, walk.anchor, seed))]
+            first = [_canonical(first[0]), _canonical(packed_contexts(twin_rectangle()))]
         yield first
     for clique in walk.cliques():
         keys = None
@@ -581,10 +559,6 @@ def find_magic_rectangles(options: SearchOptions) -> List[MagicConfiguration]:
     if options.qubit_count != 4:
         raise ValueError("rectangle search is defined for 4 qubits")
     anchor = options.anchor_point or anchor_point()
-    walk = _RectangleWalk(anchor)
-    seed = None
-    if options.seed is not None:
-        seed = packed_contexts(options.seed)
-        if options.seed.n != anchor.n or not walk.holds(seed):
-            raise ValueError("seed configuration does not have the rectangle shape")
-    return _collect(anchor.n, options.limit, _rectangle_groups(walk, seed, options.dedup))
+    seed = options.seed and anchor == anchor_point()
+    groups = _rectangle_groups(_RectangleWalk(anchor), seed, options.dedup)
+    return _collect(anchor.n, options.limit, groups)

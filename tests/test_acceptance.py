@@ -371,7 +371,7 @@ def test_criterion_6_search(capsys):
             qubit_count=4,
             shape="hc_rectangle",
             anchor_point=anchor_point(),
-            seed=magic_rectangle(),
+            seed=True,
         )
         results = find_magic_rectangles(options)
         assert results == find_magic_rectangles(options)

@@ -63,13 +63,26 @@ XXZZ
 XXXX
 """
 
+
+def all_lines_text(n: int) -> str:
+    """Every line of W(2n-1, 2) as a context: a, b, a ^ b for commuting
+    a < b < a ^ b, in ascending order of (a, b)."""
+    values = range(1, 1 << 2 * n)
+    lines = [(a, b, a ^ b) for a in values for b in values if a < b < a ^ b and not packed_form(n, a, b)]
+    words = [[point_word(SymplecticPoint.from_value(n, v)) for v in line] for line in lines]
+    return "\n\n".join("\n".join(line) for line in words) + "\n"
+
+
 # Files that the pinned commands below read, by name; missing.txt is
-# absent on purpose.
+# absent on purpose.  w32.txt holds the 15 lines of W(3, 2), w52.txt
+# the 315 lines of W(5, 2).
 CONFIG_FILES = {
     "rect.txt": RECT_FILE,
     "partial.txt": "\n\n".join("\n".join(words) for words in CONTEXT_WORDS[:4]) + "\n",
     "noncommuting.txt": "ZIII\nXIII\n",
     "badword.txt": "ZIII\nZQII\n",
+    "w32.txt": all_lines_text(2),
+    "w52.txt": all_lines_text(3),
 }
 
 
@@ -561,6 +574,11 @@ CLI_DIGESTS = {
     "search --qubits 4 --shape hc_rectangle --anchor XIIZ --json": ("e8703badc5d55801cead", 0),
     "search --qubits 4 --shape hc_rectangle --anchor YIII": ("e3b0c44298fc1c149afb", 2),
     "search --qubits 4 --shape hc_rectangle --limit 0": ("e3b0c44298fc1c149afb", 2),
+    # Whole-geometry reports, recorded before the seed became a flag.
+    "verify w32.txt": ("a69b92f252c9c07be8fe", 0),
+    "verify w32.txt --json": ("f01273c216f4243af721", 0),
+    "verify w52.txt": ("56c75e71133e06161f30", 0),
+    "verify w52.txt --json": ("0004226acdad40916649", 0),
 }
 
 
