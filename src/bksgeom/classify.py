@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator, Optional, Sequence
 
 from .geometry import Subspace, SymplecticPoint, _eliminate, enumerate_points, span
@@ -34,8 +34,9 @@ KIND_GRID = "hyperbolic_quadric_grid"
 KIND_GENERIC = "generic"
 
 
-@dataclass(frozen=True)
-class ClassificationLabel:
+class ClassificationLabel(
+    namedtuple("ClassificationLabel", "kind ambient_rank detail", defaults=("",))
+):
     """The recognised shape of a point set.
 
     Attributes:
@@ -44,9 +45,7 @@ class ClassificationLabel:
         detail: for generic sets, a short witness; empty otherwise.
     """
 
-    kind: str
-    ambient_rank: int
-    detail: str = ""
+    __slots__ = ()
 
 
 def _checked_points(points: Sequence[SymplecticPoint]) -> list[SymplecticPoint]:

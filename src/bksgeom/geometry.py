@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Sequence
 
 MAX_QUBITS = 16
@@ -46,9 +46,10 @@ def reduce_row(value: int, rows: Iterable[int]) -> int:
     return value
 
 
-@dataclass(frozen=True, order=True)
-class SymplecticPoint:
+class SymplecticPoint(namedtuple("SymplecticPoint", "n x z")):
     """A nonzero vector of GF(2)^(2N), i.e. a point of PG(2N-1, 2).
+
+    Points order as their field tuples (n, x, z).
 
     Attributes:
         n: number of qubits N (1 <= n <= MAX_QUBITS).
@@ -56,18 +57,17 @@ class SymplecticPoint:
         z: N-bit mask of Z components, qubit 1 at the MSB.
     """
 
-    n: int
-    x: int
-    z: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {self.n}")
-        top = 1 << self.n
-        if not 0 <= self.x < top or not 0 <= self.z < top:
-            raise ValueError(f"component masks out of range for n={self.n}")
-        if self.x == 0 and self.z == 0:
+    def __new__(cls, n: int, x: int, z: int) -> "SymplecticPoint":
+        if not 1 <= n <= MAX_QUBITS:
+            raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
+        top = 1 << n
+        if not 0 <= x < top or not 0 <= z < top:
+            raise ValueError(f"component masks out of range for n={n}")
+        if x == 0 and z == 0:
             raise ValueError("the zero vector is not a projective point")
+        return tuple.__new__(cls, (n, x, z))
 
     @property
     def value(self) -> int:
@@ -138,8 +138,7 @@ def _eliminate(values: Iterable[int]) -> tuple[dict[int, int], list[int]]:
     return dict(sorted(((row, used) for _, row, used in rows), reverse=True)), relations
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(namedtuple("Subspace", "n rows")):
     """A linear subspace of GF(2)^(2N) in canonical reduced row echelon form.
 
     Two Subspace instances are equal exactly when they describe the same
@@ -147,17 +146,17 @@ class Subspace:
     lie in [1, 2^(2N)) with strictly descending pivots, each in one row.
     """
 
-    n: int
-    rows: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {self.n}")
-        above, bound = 0, 1 << 2 * self.n  # rows so far, and the last pivot
-        for row in self.rows:
+    def __new__(cls, n: int, rows: tuple[int, ...]) -> "Subspace":
+        if not 1 <= n <= MAX_QUBITS:
+            raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
+        above, bound = 0, 1 << 2 * n  # rows so far, and the last pivot
+        for row in rows:
             if not 0 < row < bound or above & (pivot := 1 << row.bit_length() >> 1):
                 raise ValueError("rows are not in canonical reduced echelon form")
             above, bound = above | row, pivot
+        return tuple.__new__(cls, (n, rows))
 
     @property
     def rank(self) -> int:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property, reduce
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -43,8 +43,7 @@ class ContextError(ValueError):
     """Raised when a context or configuration violates a structural rule."""
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(namedtuple("Context", "observables")):
     """One measurement context.
 
     Attributes:
@@ -55,10 +54,9 @@ class Context:
             read of :attr:`canonical_sign`, once per object.
     """
 
-    observables: Tuple[PauliObservable, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "observables", tuple(self.observables))
+    # No __slots__: the cached canonical_sign lives in __dict__.
+    def __new__(cls, observables: Iterable[PauliObservable]) -> "Context":
+        return tuple.__new__(cls, (tuple(observables),))
 
     @cached_property
     def canonical_sign(self) -> int:
@@ -132,29 +130,28 @@ def sorted_observables(ctx: Context) -> Tuple[PauliObservable, ...]:
     return tuple(sorted(ctx.observables, key=observable_key))
 
 
-@dataclass(frozen=True)
-class MagicConfiguration:
+class MagicConfiguration(namedtuple("MagicConfiguration", "contexts")):
     """A list of contexts over a common qubit count.
 
     Every context is validated at construction by reading its
     :attr:`Context.canonical_sign`, so a context object shared by several
     configurations is validated once, by the first of them.  The signs
-    are kept in ``canonical_signs`` (outside equality and hashing).  An
-    instance that exists is structurally sound; the interesting question
-    is whether it admits a noncontextual assignment, answered by
-    :func:`parity_witness` and :func:`exhaustive_nchv_check`.
+    are kept in ``canonical_signs``, a plain attribute outside equality,
+    hashing and repr.  An instance that exists is structurally sound;
+    the interesting question is whether it admits a noncontextual
+    assignment, answered by :func:`parity_witness` and
+    :func:`exhaustive_nchv_check`.
     """
 
-    contexts: Tuple[Context, ...]
-    canonical_signs: Tuple[int, ...] = field(init=False, compare=False, repr=False)
+    # No __slots__: canonical_signs and the cached properties live in __dict__.
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "contexts", tuple(self.contexts))
-        signs = tuple(ctx.canonical_sign for ctx in self.contexts)
-        object.__setattr__(self, "canonical_signs", signs)
+    def __new__(cls, contexts: Iterable[Context]) -> "MagicConfiguration":
+        self = tuple.__new__(cls, (tuple(contexts),))
+        self.canonical_signs = tuple(ctx.canonical_sign for ctx in self.contexts)
         counts = {ctx.observables[0].n for ctx in self.contexts}
         if len(counts) > 1:
             raise ContextError(f"contexts mix qubit counts {sorted(counts)}")
+        return self
 
     @classmethod
     def from_words(cls, groups: Iterable[Iterable[str]]) -> "MagicConfiguration":
@@ -187,8 +184,12 @@ class MagicConfiguration:
         return tuple(spans)
 
 
-@dataclass(frozen=True)
-class ContradictionCertificate:
+class ContradictionCertificate(
+    namedtuple(
+        "ContradictionCertificate",
+        "sign_product all_multiplicities_even nchv_assignment_exists witness",
+    )
+):
     """Outcome of certifying a configuration.
 
     Attributes:
@@ -200,10 +201,7 @@ class ContradictionCertificate:
             ascending point order, when one exists.
     """
 
-    sign_product: int
-    all_multiplicities_even: bool
-    nchv_assignment_exists: bool
-    witness: Optional[Tuple[Tuple[SymplecticPoint, int], ...]]
+    __slots__ = ()
 
     @property
     def certified(self) -> bool:

@@ -15,7 +15,7 @@ implementation of that fold; it works on packed 2N-bit values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable
 
 from .geometry import MAX_QUBITS, SymplecticPoint, packed_form
@@ -31,8 +31,7 @@ class ParseError(ValueError):
     """Raised when a Pauli word cannot be parsed."""
 
 
-@dataclass(frozen=True)
-class PauliObservable:
+class PauliObservable(namedtuple("PauliObservable", "n x z sign")):
     """A signed real Pauli word sign * (letter_1 x ... x letter_N).
 
     Attributes:
@@ -42,19 +41,17 @@ class PauliObservable:
         sign: +1 or -1.
     """
 
-    n: int
-    x: int
-    z: int
-    sign: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {self.n}")
-        top = 1 << self.n
-        if not 0 <= self.x < top or not 0 <= self.z < top:
-            raise ValueError(f"component masks out of range for n={self.n}")
+    def __new__(cls, n: int, x: int, z: int, sign: int = 1) -> "PauliObservable":
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign}")
+        if not 1 <= n <= MAX_QUBITS:
+            raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
+        top = 1 << n
+        if not 0 <= x < top or not 0 <= z < top:
+            raise ValueError(f"component masks out of range for n={n}")
+        return tuple.__new__(cls, (n, x, z, sign))
 
     @property
     def is_identity(self) -> bool:

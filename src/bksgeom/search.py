@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import _kernels
@@ -67,8 +67,9 @@ from .rectangle import anchor_point, magic_rectangle, twin_rectangle
 SHAPES = ("mermin_square", "hc_rectangle", "ovoid_census")
 
 
-@dataclass(frozen=True)
-class SearchOptions:
+class SearchOptions(
+    namedtuple("SearchOptions", "qubit_count anchor_point shape limit dedup seed")
+):
     """Parameters of a search run.
 
     Attributes:
@@ -85,25 +86,29 @@ class SearchOptions:
             search at the built-in anchor IXII only, ignored elsewhere.
     """
 
-    qubit_count: int
-    anchor_point: Optional[SymplecticPoint] = None
-    shape: str = "hc_rectangle"
-    limit: int = 4
-    dedup: bool = True
-    seed: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.shape not in SHAPES:
-            raise ValueError(f"unknown shape {self.shape!r}; expected one of {SHAPES}")
-        if not 1 <= self.qubit_count <= MAX_QUBITS:
+    def __new__(
+        cls,
+        qubit_count: int,
+        anchor_point: Optional[SymplecticPoint] = None,
+        shape: str = "hc_rectangle",
+        limit: int = 4,
+        dedup: bool = True,
+        seed: bool = False,
+    ) -> "SearchOptions":
+        if shape not in SHAPES:
+            raise ValueError(f"unknown shape {shape!r}; expected one of {SHAPES}")
+        if not 1 <= qubit_count <= MAX_QUBITS:
             raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}]")
-        if self.limit < 1:
+        if limit < 1:
             raise ValueError("limit must be at least 1")
-        if self.anchor_point is not None and self.anchor_point.n != self.qubit_count:
+        if anchor_point is not None and anchor_point.n != qubit_count:
             raise ValueError(
-                f"anchor lives in n={self.anchor_point.n}, "
-                f"search space has n={self.qubit_count}"
+                f"anchor lives in n={anchor_point.n}, "
+                f"search space has n={qubit_count}"
             )
+        return tuple.__new__(cls, (qubit_count, anchor_point, shape, limit, dedup, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +145,7 @@ def _collect(
     The stream stops at the first group that would pass the limit, so a
     group is never split.  A MagicConfiguration is built only for a
     result that enters the list, and each distinct (value, sign) member
-    and each distinct packed context becomes one frozen object, shared
+    and each distinct packed context becomes one immutable record, shared
     by every result that holds it, so a context is validated once
     however many results share it.
     """

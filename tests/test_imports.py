@@ -1,9 +1,11 @@
 """Every module of the package uses each name it imports, every private
-module-level name is read, every name the benchmark traces exists, and
-the README's library example runs."""
+module-level name is read, every name the benchmark traces exists, the
+README's library example runs, and importing the CLI stays light."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -107,3 +109,14 @@ def test_readme_library_example_runs():
     section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect(child_env):
+    """Each CLI command runs in a fresh interpreter, so what importing
+    the CLI pulls in is paid on every call.  ``-S`` keeps the host's
+    ``site`` from importing these modules first and hiding a regression."""
+    code = "import sys, bksgeom.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=child_env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"

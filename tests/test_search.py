@@ -253,19 +253,19 @@ def test_cold_search_makes_no_rref_call_and_no_subspace(monkeypatch):
     off its greedy basis, never runs the elimination and never wraps
     the rows in a Subspace."""
     calls = {"eliminate": 0, "subspace": 0}
-    eliminate, check = geometry._eliminate, geometry.Subspace.__post_init__
+    eliminate, new = geometry._eliminate, geometry.Subspace.__new__
 
     def counted_eliminate(*args):
         calls["eliminate"] += 1
         return eliminate(*args)
 
-    def counted_check(self):
+    def counted_new(cls, *args, **kwargs):
         calls["subspace"] += 1
-        check(self)
+        return new(cls, *args, **kwargs)
 
     for module in (geometry, classify, _kernels):
         monkeypatch.setattr(module, "_eliminate", counted_eliminate)
-    monkeypatch.setattr(geometry.Subspace, "__post_init__", counted_check)
+    monkeypatch.setattr(geometry.Subspace, "__new__", staticmethod(counted_new))
     search._lagrangians.cache_clear()
     maximal_isotropic_through.cache_clear()
     results = find_magic_rectangles(rect_options(limit=4))
