@@ -157,26 +157,24 @@ def emit_config_text(
 # reports
 
 
-def _context_entry(ctx: Context, name: Optional[str], sub: Optional[Subspace]) -> Dict:
-    """One report entry: the context's words, sign and geometry; sub is its span or None."""
+def _context_entry(ctx: Context, name: Optional[str], sub: Subspace) -> Dict:
+    """One report entry: the context's words, sign and geometry; sub is
+    its span.  An identity-only context spans the zero subspace (rank 0,
+    no closure point) and has no classification."""
     entry: Dict = {
         "name": name,
         "observables": _words(ctx),
         "sign": context_sign(ctx),
+        "rank": sub.rank,
+        "totally_isotropic": is_totally_isotropic(sub),
+        "classification": None,
     }
-    if sub is not None:
-        entry["rank"] = sub.rank
-        entry["totally_isotropic"] = is_totally_isotropic(sub)
-        label = classify_set(list(dict.fromkeys(ctx.points())))
+    if points := list(dict.fromkeys(ctx.points())):
+        label = classify_set(points)
         entry["classification"] = label.kind
         if label.detail:
             entry["classification_detail"] = label.detail
-        entry["closure_points"] = [point_word(p) for p in enumerate_points(sub)]
-    else:
-        entry["rank"] = 0
-        entry["totally_isotropic"] = True
-        entry["classification"] = None
-        entry["closure_points"] = []
+    entry["closure_points"] = [point_word(p) for p in enumerate_points(sub)]
     return entry
 
 
@@ -338,17 +336,14 @@ def cmd_complement(args: argparse.Namespace) -> Outcome:
 
 
 def _search_options(args: argparse.Namespace) -> SearchOptions:
-    rectangle = args.shape == "hc_rectangle"
-    anchor = _parse_anchor(args.anchor) if args.anchor else None
-    if rectangle and anchor is None:
-        anchor = anchor_point()
+    """The options as given; a search applies its own default anchor."""
     return SearchOptions(
         qubit_count=args.qubits,
-        anchor_point=anchor,
+        anchor_point=_parse_anchor(args.anchor) if args.anchor else None,
         shape=args.shape,
         limit=args.limit,
         dedup=not args.no_dedup,
-        seed=rectangle,
+        seed=args.shape == "hc_rectangle",
     )
 
 
@@ -373,10 +368,12 @@ def _render_results(block: Dict) -> str:
 
 def cmd_search(args: argparse.Namespace) -> Outcome:
     options = _search_options(args)
+    # Rectangle search defaults to the anchor IXII; the others to no filter.
+    anchor = options.anchor_point or (anchor_point() if options.shape == "hc_rectangle" else None)
     head = {
         "shape": options.shape,
         "qubits": options.qubit_count,
-        "anchor": point_word(options.anchor_point) if options.anchor_point else None,
+        "anchor": point_word(anchor) if anchor else None,
     }
     if options.shape == "ovoid_census":
         ambients = [

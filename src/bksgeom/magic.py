@@ -175,13 +175,11 @@ class MagicConfiguration(namedtuple("MagicConfiguration", "contexts")):
                 counts[p] = counts.get(p, 0) + 1
         return counts
 
-    def context_spans(self) -> Tuple[Optional[Subspace], ...]:
-        """Span of each context's point set (None for identity-only contexts)."""
-        spans: list[Optional[Subspace]] = []
-        for ctx in self.contexts:
-            pts = ctx.points()
-            spans.append(span(pts) if pts else None)
-        return tuple(spans)
+    def context_spans(self) -> Tuple[Subspace, ...]:
+        """Span of each context's point set; the zero subspace for an
+        identity-only context."""
+        points = (ctx.points() for ctx in self.contexts)
+        return tuple(span(pts) if pts else Subspace(self.n, ()) for pts in points)
 
 
 class ContradictionCertificate(
@@ -252,14 +250,13 @@ def intersection_lines(
 
     Keys are index pairs (i, j) with i < j into config.contexts; values
     are the intersection subspaces, included whenever their rank is at
-    least 1.  Identity-only contexts have no span and produce no pairs.
+    least 1.  An identity-only context spans the zero subspace, so it
+    meets nothing and takes part in no pair.
     """
     spans = config.context_spans()
     out: Dict[Tuple[int, int], Subspace] = {}
     for i in range(len(spans)):
         for j in range(i + 1, len(spans)):
-            if spans[i] is None or spans[j] is None:
-                continue
             meet = intersect(spans[i], spans[j])
             if meet.rank >= 1:
                 out[(i, j)] = meet

@@ -255,8 +255,7 @@ def cap_census(options: SearchOptions) -> List[Tuple[Subspace, List[Tuple[Symple
         unit = [SymplecticPoint.from_value(2, 1 << i) for i in range(4)]
         ambients = [span(unit)]
     elif n == 4:
-        spans = magic_rectangle().context_spans()
-        ambients = [s for s in spans[:4] if s is not None]
+        ambients = magic_rectangle().context_spans()[:4]
     else:
         raise ValueError(
             "ovoid census supports 2 qubits (the full PG(3,2)) or 4 qubits "
@@ -280,47 +279,39 @@ def find_mermin_squares(options: SearchOptions) -> List[MagicConfiguration]:
     """All 3x3 observable grids at two qubits whose row and column
     contexts form a certified magic configuration.
 
-    Deterministic: grids are generated in ascending order of their
-    point sets, each once (six lines split into a grid's two parallel
-    classes in one way only), and canonicalised under dedup.
+    A grid is three pairwise disjoint lines, its rows, whose nine points
+    hold three more lines, its columns; as lines are point bitmasks, the
+    rows are disjoint when their union has nine bits.  Each grid's six
+    lines split into rows and columns in one way only, so it is taken
+    once, with the lexicographically smaller triple as rows.
+    Deterministic: grids come in ascending order of their point sets,
+    canonicalised under dedup.
     """
     if options.shape != "mermin_square":
         raise ValueError("find_mermin_squares expects shape 'mermin_square'")
     if options.qubit_count != 2:
         raise ValueError("mermin square search is defined for 2 qubits")
     n = 2
-    values = range(1, 1 << (2 * n))
-    lines = []
-    for a, b in itertools.combinations(values, 2):
-        c = a ^ b
-        if c > b and packed_form(n, a, b) == 0:
-            lines.append((a, b, c))
-    lines.sort()
-
-    partitions: Dict[frozenset, List[Tuple[Tuple[int, ...], ...]]] = {}
-    for triple in itertools.combinations(lines, 3):
-        union = set()
-        for line in triple:
-            union.update(line)
-        if len(union) == 9:
-            partitions.setdefault(frozenset(union), []).append(triple)
+    pairs = itertools.combinations(range(1, 1 << (2 * n)), 2)
+    lines = sorted((a, b, a ^ b) for a, b in pairs if a ^ b > b and not packed_form(n, a, b))
+    masks = [sum(1 << v for v in line) for line in lines]
+    grids = []
+    for rows in itertools.combinations(range(len(lines)), 3):
+        union = masks[rows[0]] | masks[rows[1]] | masks[rows[2]]
+        if union.bit_count() == 9:
+            cols = tuple(i for i, m in enumerate(masks) if m & union == m and i not in rows)
+            if len(cols) == 3 and rows < cols:
+                grids.append((list(_bits(union)), rows + cols))
+    anchor = options.anchor_point
 
     def squares() -> Iterator[List[Tuple[PackedContext, ...]]]:
-        for nineset in sorted(partitions, key=lambda s: sorted(s)):
-            parts = partitions[nineset]
-            # Two partitions share no line, so each line of one meets each
-            # line of the other in one point: every pair is a 3x3 grid.
-            if len(parts) < 2:
+        for points, grid in sorted(grids):
+            if anchor is not None and anchor.value not in points:
                 continue
-            if options.anchor_point is not None and options.anchor_point.value not in nineset:
-                continue
-            for rows, cols in itertools.combinations(parts, 2):
-                lines = rows + cols
-                negatives = sum(packed_product(n, line)[0] < 0 for line in lines)
-                if negatives % 2 == 0:
-                    continue
-                contexts = tuple(tuple((v, 1) for v in line) for line in lines)
-                yield [_canonical(contexts) if options.dedup else contexts]
+            if sum(packed_product(n, lines[i])[0] < 0 for i in grid) % 2 == 0:
+                continue  # an even number of negative lines: not magic
+            contexts = tuple(tuple((v, 1) for v in lines[i]) for i in grid)
+            yield [_canonical(contexts) if options.dedup else contexts]
 
     return _collect(n, options.limit, squares())
 

@@ -1,9 +1,10 @@
 """Point and subspace helpers that the package itself does not use, kept
-for the tests: every point of a space, the join of two subspaces, and
+for the tests: every point of a space, the join of two subspaces,
 independent implementations of what ``geometry._eliminate`` computes
 (reduced row echelon form, the Zassenhaus intersection, the valuation
 solve by Gauss-Jordan elimination with lowest-bit pivots, and the shape
-witnesses of ``classify_set`` by brute-force loops)."""
+witnesses of ``classify_set`` by brute-force loops), and the Mermin-square
+search by line partitions of nine points."""
 
 import itertools
 from typing import Iterable, Iterator, Optional, Sequence
@@ -19,8 +20,9 @@ from bksgeom.classify import (
     KIND_TRIANGLE,
     ClassificationLabel,
 )
-from bksgeom.geometry import Subspace, SymplecticPoint, reduce_row
-from bksgeom.pauli import point_word
+from bksgeom.geometry import Subspace, SymplecticPoint, packed_form, reduce_row
+from bksgeom.pauli import packed_product, point_word
+from bksgeom.search import SearchOptions, _canonical, _collect
 
 
 def all_points(n: int) -> Iterator[SymplecticPoint]:
@@ -156,3 +158,46 @@ def brute_classify(points: Sequence[SymplecticPoint]) -> ClassificationLabel:
         if len(lines) == 6 and all(sum(i in line for line in lines) == 2 for i in range(9)):
             return ClassificationLabel(KIND_GRID, 4)
     return generic(f"no recognised shape for {k} points of rank {rank}")
+
+
+def partition_mermin_squares(options: SearchOptions) -> list:
+    """``find_mermin_squares`` by line partitions: every split of nine
+    points of W(3, 2) into three isotropic lines is listed under its point
+    set, and two splits of one set are a grid's rows and columns, in the
+    order of ``itertools.combinations`` on the sorted lines.  Point sets
+    come in ascending order; only grids with an odd number of negative
+    lines are kept, canonicalised under dedup."""
+    n = 2
+    lines = []
+    for a, b in itertools.combinations(range(1, 1 << (2 * n)), 2):
+        c = a ^ b
+        if c > b and packed_form(n, a, b) == 0:
+            lines.append((a, b, c))
+    lines.sort()
+
+    partitions: dict = {}
+    for triple in itertools.combinations(lines, 3):
+        union = set()
+        for line in triple:
+            union.update(line)
+        if len(union) == 9:
+            partitions.setdefault(frozenset(union), []).append(triple)
+
+    def squares():
+        for nineset in sorted(partitions, key=lambda s: sorted(s)):
+            parts = partitions[nineset]
+            # Two partitions share no line, so each line of one meets each
+            # line of the other in one point: every pair is a 3x3 grid.
+            if len(parts) < 2:
+                continue
+            if options.anchor_point is not None and options.anchor_point.value not in nineset:
+                continue
+            for rows, cols in itertools.combinations(parts, 2):
+                grid = rows + cols
+                negatives = sum(packed_product(n, line)[0] < 0 for line in grid)
+                if negatives % 2 == 0:
+                    continue
+                contexts = tuple(tuple((v, 1) for v in line) for line in grid)
+                yield [_canonical(contexts) if options.dedup else contexts]
+
+    return _collect(n, options.limit, squares())

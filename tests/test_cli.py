@@ -75,7 +75,7 @@ def all_lines_text(n: int) -> str:
 
 # Files that the pinned commands below read, by name; missing.txt is
 # absent on purpose.  w32.txt holds the 15 lines of W(3, 2), w52.txt
-# the 315 lines of W(5, 2).
+# the 315 lines of W(5, 2); identity.txt has two identity-only contexts.
 CONFIG_FILES = {
     "rect.txt": RECT_FILE,
     "partial.txt": "\n\n".join("\n".join(words) for words in CONTEXT_WORDS[:4]) + "\n",
@@ -83,6 +83,7 @@ CONFIG_FILES = {
     "badword.txt": "ZIII\nZQII\n",
     "w32.txt": all_lines_text(2),
     "w52.txt": all_lines_text(3),
+    "identity.txt": "IIII\n-IIII\n\nZIII\nIZII\nZZII\n\nIIII\n",
 }
 
 
@@ -411,6 +412,22 @@ def test_search_census_three_qubits_exits_2(capsys):
     assert "ovoid census supports" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--qubits", "2"], "rectangle search is defined for 4 qubits"),
+        (["--qubits", "3"], "rectangle search is defined for 4 qubits"),
+        (["--qubits", "4", "--anchor", "XI"], "anchor lives in n=2, search space has n=4"),
+    ],
+)
+def test_rectangle_search_size_errors_exit_2(extra, message, capsys):
+    """With no --anchor the search applies its own default, so the error
+    names the qubit count, not an anchor the user never gave."""
+    code = main(["search", "--shape", "hc_rectangle", *extra])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_search_mermin(capsys):
     code = main(
         ["search", "--qubits", "2", "--shape", "mermin_square", "--limit", "50", "--json"]
@@ -579,6 +596,11 @@ CLI_DIGESTS = {
     "verify w32.txt --json": ("f01273c216f4243af721", 0),
     "verify w52.txt": ("56c75e71133e06161f30", 0),
     "verify w52.txt --json": ("0004226acdad40916649", 0),
+    # Identity-only contexts, recorded while they had no span.
+    "verify identity.txt": ("42ca78493ca013b40787", 1),
+    "verify identity.txt --json": ("d521add119e4d33a6e57", 1),
+    "classify identity.txt --json": ("73eba04c0a5e24a17760", 0),
+    "complement identity.txt --point ZIII": ("6d6e473b4804617244b4", 0),
 }
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from bksgeom import magic
 from bksgeom.classify import KIND_LINE, classify_set, projective_closure
 from bksgeom.cli import main
-from bksgeom.geometry import SymplecticPoint, enumerate_points
+from bksgeom.geometry import Subspace, SymplecticPoint, enumerate_points
 from bksgeom.magic import (
     Context,
     ContextError,
@@ -536,6 +536,20 @@ def test_intersection_lines_of_rectangle():
         sub = lines[pair]
         assert sub.rank == 1
         assert {point_word(p) for p in enumerate_points(sub)} == words
+
+
+def test_identity_only_contexts_span_the_zero_subspace():
+    """An identity-only context spans the zero subspace, which meets no
+    other span, so intersection_lines lists no pair with it."""
+    config = MagicConfiguration.from_words(
+        [("IIII", "-IIII"), ("ZIII", "IZII", "ZZII"), ("IIII",), ("ZIII", "IIZI", "ZIZI")]
+    )
+    spans = config.context_spans()
+    assert spans[0] == spans[2] == Subspace(4, ())
+    assert [s.rank for s in spans] == [0, 2, 0, 2]
+    lines = intersection_lines(config)
+    assert list(lines) == [(1, 3)]
+    assert [point_word(p) for p in enumerate_points(lines[1, 3])] == ["ZIII"]
 
 
 def test_shared_point_is_the_anchor():

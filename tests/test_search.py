@@ -7,6 +7,7 @@ import math
 import tracemalloc
 from typing import Dict, Iterator, List, Sequence, Tuple
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -46,6 +47,7 @@ from bksgeom.pauli import (
     multiply,
     packed_product,
     parse_observable,
+    point_word,
     to_symplectic,
 )
 from bksgeom.rectangle import anchor_point, magic_rectangle, twin_rectangle
@@ -61,7 +63,7 @@ from bksgeom.search import (
     maximal_isotropic_through,
 )
 
-from reference_geometry import rref, subspace_sum
+from reference_geometry import partition_mermin_squares, rref, subspace_sum
 
 
 def pt(word: str) -> SymplecticPoint:
@@ -813,8 +815,8 @@ def test_mermin_anchor_filter():
 def test_two_line_partitions_of_nine_points_form_a_grid():
     """Two different partitions of nine points into isotropic lines share
     no line, so each line of one meets each line of the other in exactly
-    one point: the nine points form a 3x3 grid, and the Mermin-square
-    search needs no grid check on them."""
+    one point: the nine points form a 3x3 grid, and the partition search
+    of ``reference_geometry`` needs no grid check on them."""
     lines = [
         line
         for line in itertools.combinations(range(1, 16), 3)
@@ -832,6 +834,55 @@ def test_two_line_partitions_of_nine_points_form_a_grid():
             assert all(len(set(r) & set(c)) == 1 for r in rows for c in cols)
         points = [SymplecticPoint.from_value(2, v) for v in sorted(nineset)]
         assert classify_set(points).kind == KIND_GRID
+
+
+# Real 2x2 matrices of the letters, Y = XZ.
+_LETTERS = {
+    "I": ((1, 0), (0, 1)),
+    "X": ((0, 1), (1, 0)),
+    "Y": ((0, -1), (1, 0)),
+    "Z": ((1, 0), (0, -1)),
+}
+
+
+def _word_matrix(word: str):
+    return functools.reduce(np.kron, (np.array(_LETTERS[c]) for c in word))
+
+
+def test_mermin_squares_are_the_commuting_grids_of_w32():
+    """An oracle sharing no code with either search: the point sets of the
+    squares are exactly the nine-point sets that ``classify_set`` labels a
+    grid and whose six lines (triples of points summing to zero) hold
+    mutually commuting words, by their 4x4 real matrices.  Each has an
+    odd number of lines whose product is minus the identity."""
+    points = [SymplecticPoint.from_value(2, v) for v in range(1, 16)]
+    grids = []
+    for subset in itertools.combinations(points, 9):
+        if classify_set(subset).kind != KIND_GRID:
+            continue
+        lines = [t for t in itertools.combinations(subset, 3) if t[0].value ^ t[1].value == t[2].value]
+        assert len(lines) == 6
+        products = []
+        for line in lines:
+            a, b, c = (_word_matrix(point_word(p)) for p in line)
+            if not (np.array_equal(a @ b, b @ a) and np.array_equal(a @ c, c @ a)):
+                break
+            products.append(int((a @ b @ c)[0, 0]))
+            assert np.array_equal(a @ b @ c, products[-1] * np.eye(4, dtype=int))
+        else:
+            assert products.count(-1) % 2 == 1
+            grids.append(frozenset(subset))
+    squares = find_mermin_squares(square_options())
+    found = {frozenset(p for ctx in config.contexts for p in ctx.points()) for config in squares}
+    assert len(grids) == 10 and found == set(grids)
+
+
+@pytest.mark.parametrize("anchor", [None, *range(1, 16)])
+def test_mermin_squares_match_the_partition_reference(anchor):
+    point = None if anchor is None else SymplecticPoint.from_value(2, anchor)
+    for dedup, limit in itertools.product((True, False), (1, 3, 10, 50)):
+        options = square_options(anchor_point=point, dedup=dedup, limit=limit)
+        assert find_mermin_squares(options) == partition_mermin_squares(options)
 
 
 def test_mermin_raw_stream_matches_dedup():
