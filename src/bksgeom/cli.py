@@ -38,7 +38,7 @@ from collections import Counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .classify import classify_set
-from .geometry import Subspace, SymplecticPoint, enumerate_points, is_totally_isotropic
+from .geometry import Subspace, SymplecticPoint, enumerate_points
 from .magic import (
     Context,
     ContextError,
@@ -166,7 +166,9 @@ def _context_entry(ctx: Context, name: Optional[str], sub: Subspace) -> Dict:
         "observables": _words(ctx),
         "sign": context_sign(ctx),
         "rank": sub.rank,
-        "totally_isotropic": is_totally_isotropic(sub),
+        # validate_context accepted the context, so its members commute pairwise
+        # and their span (the zero subspace included) is totally isotropic.
+        "totally_isotropic": True,
         "classification": None,
     }
     if points := list(dict.fromkeys(ctx.points())):
@@ -232,10 +234,6 @@ def _title(entry: Dict) -> str:
     return f"{entry['name'] or 'context'}: {' '.join(entry['observables'])}"
 
 
-def _isotropy(entry: Dict) -> str:
-    return "totally isotropic" if entry["totally_isotropic"] else "not isotropic"
-
-
 def _entry_lines(entry: Dict, facts: str) -> List[str]:
     """A context entry as text: its words, the facts line, its detail
     and its closure."""
@@ -253,7 +251,7 @@ def render_report(report: Dict) -> str:
     for entry in report["contexts"]:
         sign = "+1" if entry["sign"] > 0 else "-1"
         kind = entry["classification"] or "empty"
-        facts = f"sign {sign}, rank {entry['rank']}, {_isotropy(entry)}, {kind}"
+        facts = f"sign {sign}, rank {entry['rank']}, totally isotropic, {kind}"
         out.extend(["", *_entry_lines(entry, facts)])
     out.append("\nmultiplicities:")
     for word, count in report["multiplicities"].items():
@@ -299,7 +297,7 @@ def _render_classify(block: Dict) -> str:
     out = []
     for entry in block["contexts"]:
         kind = entry["classification"] or "empty"
-        out.extend(_entry_lines(entry, f"{kind}, rank {entry['rank']}, {_isotropy(entry)}"))
+        out.extend(_entry_lines(entry, f"{kind}, rank {entry['rank']}, totally isotropic"))
     out.append(f"summary: {block['summary']}")
     return "\n".join(out) + "\n"
 
@@ -336,14 +334,15 @@ def cmd_complement(args: argparse.Namespace) -> Outcome:
 
 
 def _search_options(args: argparse.Namespace) -> SearchOptions:
-    """The options as given; a search applies its own default anchor."""
+    """The options as given; a search applies its own default anchor and
+    decides where the seed acts."""
     return SearchOptions(
         qubit_count=args.qubits,
         anchor_point=_parse_anchor(args.anchor) if args.anchor else None,
         shape=args.shape,
         limit=args.limit,
         dedup=not args.no_dedup,
-        seed=args.shape == "hc_rectangle",
+        seed=True,
     )
 
 

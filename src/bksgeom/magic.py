@@ -30,10 +30,12 @@ from . import _kernels
 from .geometry import Subspace, SymplecticPoint, intersect, packed_form, span
 from .pauli import (
     PauliObservable,
-    _from_packed,
     format_observable,
+    from_symplectic,
+    multiply,
     packed_product,
     parse_observable,
+    point_word,
     product_of_set,
     to_symplectic,
 )
@@ -285,65 +287,32 @@ def shared_point(config: MagicConfiguration) -> SymplecticPoint:
     return SymplecticPoint.from_value(config.n, common.rows[0])
 
 
-# A context as (packed value, sign) members; the search keeps results in
-# this form until one is built as a MagicConfiguration.
-PackedContext = Tuple[Tuple[int, int], ...]
-
-
-def packed_contexts(config: MagicConfiguration) -> Tuple[PackedContext, ...]:
-    """The contexts as tuples of (packed value, sign), in the given order."""
-    return tuple(
-        tuple((obs.value, obs.sign) for obs in ctx.observables)
-        for ctx in config.contexts
-    )
-
-
-def config_from_packed(n: int, contexts: Iterable[PackedContext]) -> MagicConfiguration:
-    """Build (and so validate) a configuration from (packed value, sign) contexts."""
-    return MagicConfiguration(
-        tuple(
-            Context(tuple(_from_packed(n, value, sign) for value, sign in ctx))
-            for ctx in contexts
-        )
-    )
-
-
-def twin_contexts(n: int, anchor: int, contexts: Iterable[PackedContext]) -> Tuple[PackedContext, ...]:
-    """The twin map on packed contexts: the one implementation of the twin.
-
-    Every member other than the anchor itself and the identity is
-    multiplied on the left by the anchor's positive observable P, so
-    (v, s) becomes (anchor ^ v, s * sign of P * v); the anchor and the
-    identity stay fixed.  Raises ContextError when P squares to -identity.
-    """
-    if packed_product(n, (anchor, anchor))[0] != 1:
-        raise ContextError(
-            f"anchor {format_observable(_from_packed(n, anchor, 1))} "
-            "squares to -identity"
-        )
-    return tuple(
-        tuple(
-            (value, sign)
-            if value in (0, anchor)
-            else (anchor ^ value, sign * packed_product(n, (anchor, value))[0])
-            for value, sign in ctx
-        )
-        for ctx in contexts
-    )
+def check_twin_anchor(point: SymplecticPoint) -> None:
+    """Raise ContextError unless the anchor's positive observable squares
+    to +identity (an even number of Y letters), as the twin map needs."""
+    if packed_product(point.n, (point.value, point.value))[0] != 1:
+        raise ContextError(f"anchor {point_word(point)} squares to -identity")
 
 
 def complement_config(
     config: MagicConfiguration, point: SymplecticPoint
 ) -> MagicConfiguration:
-    """The twin configuration through an anchor point (see :func:`twin_contexts`).
+    """The twin configuration through an anchor point: every member other
+    than the anchor itself and the identity is multiplied on the left by
+    the anchor's positive observable, and those two stay fixed.
 
-    When the anchor's observable squares to +identity the map is an
-    involution.  The result is validated on construction, so an anchor
-    that breaks commutation somewhere raises ContextError.
+    Raises ContextError at an anchor :func:`check_twin_anchor` rejects;
+    at any other the map is an involution.  The result is validated on
+    construction, so an anchor that breaks commutation somewhere raises
+    ContextError.
     """
     if config.n is not None and point.n != config.n:
         raise ContextError(
             f"anchor lives in n={point.n} but configuration has n={config.n}"
         )
-    twin = twin_contexts(point.n, point.value, packed_contexts(config))
-    return config_from_packed(point.n, twin)
+    check_twin_anchor(point)
+    anchor, fixed = from_symplectic(point), (0, point.value)
+    return MagicConfiguration(
+        Context(obs if obs.value in fixed else multiply(anchor, obs) for obs in ctx.observables)
+        for ctx in config.contexts
+    )

@@ -53,14 +53,7 @@ from .geometry import (
     reduce_row,
     span,
 )
-from .magic import (
-    Context,
-    MagicConfiguration,
-    PackedContext,
-    config_from_packed,
-    packed_contexts,
-    twin_contexts,
-)
+from .magic import Context, MagicConfiguration, check_twin_anchor
 from .pauli import PauliObservable, _from_packed, packed_product
 from .rectangle import anchor_point, magic_rectangle, twin_rectangle
 
@@ -122,6 +115,15 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+# A context as (packed value, sign) members: the search's working form
+# until a result is built as a MagicConfiguration.
+PackedContext = Tuple[Tuple[int, int], ...]
+
+
+def _packed(config: MagicConfiguration) -> Tuple[PackedContext, ...]:
+    return tuple(tuple((obs.value, obs.sign) for obs in ctx.observables) for ctx in config.contexts)
+
+
 def _canonical(contexts: Sequence[PackedContext]) -> Tuple[PackedContext, ...]:
     """Canonical order on packed contexts, which is also the dedup key.
 
@@ -134,7 +136,7 @@ def _canonical(contexts: Sequence[PackedContext]) -> Tuple[PackedContext, ...]:
 
 def canonical_config(config: MagicConfiguration) -> MagicConfiguration:
     """Sort members within contexts and contexts within the configuration."""
-    return config_from_packed(config.n, _canonical(packed_contexts(config)))
+    return _collect(config.n, 1, [[_canonical(_packed(config))]])[0]
 
 
 def _collect(
@@ -370,7 +372,6 @@ class _RectangleWalk:
         self._betas: Dict[int, int] = {}
         self._masks: Dict[Tuple[int, int, int], int] = {}
         self._caps: Dict[Tuple[int, int, int], PackedContext] = {}
-        self._twins: Optional[Dict[int, Tuple[int, int]]] = None
         self._images: Dict[PackedContext, PackedContext] = {}
 
     def pair_ok(self, i: int, j: int) -> bool:
@@ -488,20 +489,19 @@ class _RectangleWalk:
         return found
 
     def keys(self, contexts: Tuple[PackedContext, ...]) -> List[Tuple[PackedContext, ...]]:
-        """The :func:`_canonical` keys of a walk rectangle and of its twin;
-        the twin's members come from a table of every value's twin, made by
-        one :func:`twin_contexts` call.  Members are distinct, ascend with
-        sign +1, and a twin sign depends only on the value: sorting suffices.
-        Each context's image is made once per walk."""
-        if self._twins is None:
-            values = range(1, 1 << 2 * self.n)
-            twins = twin_contexts(self.n, self.anchor, [[(v, 1) for v in values]])
-            self._twins = dict(zip(values, *twins))
-        twin = []
+        """The :func:`_canonical` keys of a walk rectangle and of its twin
+        (see :func:`magic.complement_config`): the anchor p stays, and a
+        member (v, +1) becomes (p ^ v, -1 if beta(p, v) else +1).  Members
+        are distinct, ascend with sign +1, and a twin sign depends only on
+        the value: sorting suffices.  Each context's image is made once
+        per walk."""
+        p, twin = self.anchor, []
         for ctx in contexts:
             image = self._images.get(ctx)
             if image is None:
-                image = self._images[ctx] = tuple(sorted(self._twins[v] for v, _ in ctx))
+                image = self._images[ctx] = tuple(sorted(
+                    (v, 1) if v == p else (p ^ v, -1 if self._beta(v) else 1) for v, _ in ctx
+                ))
             twin.append(image)
         return [tuple(sorted(contexts)), tuple(sorted(twin))]
 
@@ -523,9 +523,9 @@ def _rectangle_groups(
     """
     first = []
     if seed:
-        first = [packed_contexts(magic_rectangle())]
+        first = [_packed(magic_rectangle())]
         if dedup:
-            first = [_canonical(first[0]), _canonical(packed_contexts(twin_rectangle()))]
+            first = [_canonical(first[0]), _canonical(_packed(twin_rectangle()))]
         yield first
     for clique in walk.cliques():
         keys = None
@@ -555,6 +555,8 @@ def find_magic_rectangles(options: SearchOptions) -> List[MagicConfiguration]:
     if options.qubit_count != 4:
         raise ValueError("rectangle search is defined for 4 qubits")
     anchor = options.anchor_point or anchor_point()
+    if options.dedup:  # the twins need an anchor that squares to +identity
+        check_twin_anchor(anchor)
     seed = options.seed and anchor == anchor_point()
     groups = _rectangle_groups(_RectangleWalk(anchor), seed, options.dedup)
     return _collect(anchor.n, options.limit, groups)

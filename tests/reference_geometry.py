@@ -3,8 +3,9 @@ for the tests: every point of a space, the join of two subspaces,
 independent implementations of what ``geometry._eliminate`` computes
 (reduced row echelon form, the Zassenhaus intersection, the valuation
 solve by Gauss-Jordan elimination with lowest-bit pivots, and the shape
-witnesses of ``classify_set`` by brute-force loops), and the Mermin-square
-search by line partitions of nine points."""
+witnesses of ``classify_set`` by brute-force loops), the Mermin-square
+search by line partitions of nine points, and the twin map on contexts in
+packed (value, sign) form."""
 
 import itertools
 from typing import Iterable, Iterator, Optional, Sequence
@@ -21,6 +22,7 @@ from bksgeom.classify import (
     ClassificationLabel,
 )
 from bksgeom.geometry import Subspace, SymplecticPoint, packed_form, reduce_row
+from bksgeom.magic import ContextError, MagicConfiguration
 from bksgeom.pauli import packed_product, point_word
 from bksgeom.search import SearchOptions, _canonical, _collect
 
@@ -201,3 +203,30 @@ def partition_mermin_squares(options: SearchOptions) -> list:
                 yield [_canonical(contexts) if options.dedup else contexts]
 
     return _collect(n, options.limit, squares())
+
+
+def packed_contexts(config: MagicConfiguration) -> tuple:
+    """The contexts as tuples of (packed value, sign), in the given order."""
+    return tuple(
+        tuple((obs.value, obs.sign) for obs in ctx.observables)
+        for ctx in config.contexts
+    )
+
+
+def twin_contexts(n: int, anchor: int, contexts) -> tuple:
+    """The twin map on packed contexts: every member other than the anchor
+    itself and the identity is multiplied on the left by the anchor's
+    positive observable P, so (v, s) becomes (anchor ^ v, s * sign of
+    P * v).  Raises ContextError when P squares to -identity."""
+    if packed_product(n, (anchor, anchor))[0] != 1:
+        word = point_word(SymplecticPoint.from_value(n, anchor))
+        raise ContextError(f"anchor {word} squares to -identity")
+    return tuple(
+        tuple(
+            (value, sign)
+            if value in (0, anchor)
+            else (anchor ^ value, sign * packed_product(n, (anchor, value))[0])
+            for value, sign in ctx
+        )
+        for ctx in contexts
+    )

@@ -7,19 +7,18 @@ import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bksgeom import magic
 from bksgeom.classify import KIND_LINE, classify_set, projective_closure
 from bksgeom.cli import main
-from bksgeom.geometry import Subspace, SymplecticPoint, enumerate_points
+from bksgeom.geometry import Subspace, SymplecticPoint, enumerate_points, is_totally_isotropic
 from bksgeom.magic import (
     Context,
     ContextError,
     MagicConfiguration,
     complement_config,
-    config_from_packed,
     context_sign,
     exhaustive_nchv_check,
     intersection_lines,
@@ -170,6 +169,18 @@ def test_validate_context_matches_the_object_level_reference(ctx):
         assert validate_context(ctx) == ctx.canonical_sign == product_of_set(stripped).sign
 
 
+@settings(max_examples=400, deadline=None)
+@given(_context())
+def test_accepted_contexts_span_totally_isotropic_subspaces(ctx):
+    """A context validate_context accepts has pairwise commuting members,
+    so its span, the zero subspace for an identity-only context, is
+    totally isotropic: the report states it without a check."""
+    assume(_outcome(validate_context, ctx) is None)
+    (sub,) = MagicConfiguration((ctx,)).context_spans()
+    assert is_totally_isotropic(sub)
+    assert set(ctx.points()) <= set(enumerate_points(sub))
+
+
 def _small_contexts():
     """(n, values): every context of up to 5 one-qubit or up to 3 two-qubit
     members, and every two-qubit one of 2 to 4 members whose last is the
@@ -304,8 +315,9 @@ def _configuration(draw) -> MagicConfiguration:
         values = [p.value for p in draw(st.lists(st.sampled_from(points), min_size=1, max_size=4))]
         values += [functools.reduce(operator.xor, values)] + [0] * draw(st.integers(0, 2))
         signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(values), max_size=len(values)))
-        contexts.append(tuple(zip(draw(st.permutations(values)), signs)))
-    return config_from_packed(n, contexts)
+        members = zip(draw(st.permutations(values)), signs)
+        contexts.append(Context(_from_packed(n, value, sign) for value, sign in members))
+    return MagicConfiguration(contexts)
 
 
 @settings(max_examples=300, deadline=None)

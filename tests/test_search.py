@@ -30,16 +30,13 @@ from bksgeom.geometry import (
 )
 from bksgeom.magic import (
     Context,
-    PackedContext,
     ContextError,
     MagicConfiguration,
     complement_config,
     observable_key,
-    packed_contexts,
     parity_witness,
     shared_point,
     sorted_observables,
-    twin_contexts,
 )
 from bksgeom.pauli import (
     _from_packed,
@@ -52,6 +49,7 @@ from bksgeom.pauli import (
 )
 from bksgeom.rectangle import anchor_point, magic_rectangle, twin_rectangle
 from bksgeom.search import (
+    PackedContext,
     SearchOptions,
     _bits,
     _RectangleWalk,
@@ -63,7 +61,13 @@ from bksgeom.search import (
     maximal_isotropic_through,
 )
 
-from reference_geometry import partition_mermin_squares, rref, subspace_sum
+from reference_geometry import (
+    packed_contexts,
+    partition_mermin_squares,
+    rref,
+    subspace_sum,
+    twin_contexts,
+)
 
 
 def pt(word: str) -> SymplecticPoint:
@@ -655,7 +659,7 @@ def test_pick_masks_match_the_cap_on_every_pick(word, start):
 
 
 @pytest.mark.parametrize(
-    "word, products, cliques", [("IXII", 380, 714), ("YYYY", 753, 1082), ("XIIZ", 248, 153)]
+    "word, products, cliques", [("IXII", 388, 714), ("YYYY", 756, 1082), ("XIIZ", 251, 153)]
 )
 def test_warm_search_rejects_cliques_before_building_caps(monkeypatch, word, products, cliques):
     """A warm limit=1000 call makes one product per pick mask, one per
@@ -663,7 +667,8 @@ def test_warm_search_rejects_cliques_before_building_caps(monkeypatch, word, pro
     (each memoised per walk), and stops a clique's test at its first
     empty AND.  Testing each of the eight picks of a mask, and each
     surviving combo's affine context, made 4,192, 4,772 and 1,792
-    products on the same cliques."""
+    products on the same cliques.  The twin signs of the dedup keys are
+    beta values too, and add the few that no mask or affine context read."""
     options = rect_options(anchor_point=pt(word), limit=1000)
     find_magic_rectangles(options)
     calls = {"packed_product": 0, "rectangles": 0}
@@ -1098,17 +1103,25 @@ def test_warm_search_builds_and_validates_each_distinct_context_once(monkeypatch
     assert len(members) == 183
 
 
-@pytest.mark.parametrize("word", ["IXII", "XIIZ", "YYYY"])
+EVEN_Y_WORDS = sorted(
+    "".join(letters)
+    for letters in itertools.product("IXYZ", repeat=4)
+    if "".join(letters) != "IIII" and letters.count("Y") % 2 == 0
+)
+
+
+@pytest.mark.parametrize("word", EVEN_Y_WORDS)
 def test_packed_twin_matches_complement_config(word):
-    """The packed twin against the object-level map (every member but the
-    anchor multiplied on the left by the anchor's positive observable)
-    and against complement_config, on 50 raw walk results."""
+    """complement_config against the packed reference twin and the
+    object-level map (every member but the anchor multiplied on the left
+    by the anchor's positive observable), on the limit=4 results at each
+    even-Y anchor; twinning twice gives the configuration back."""
     point = pt(word)
-    results = find_magic_rectangles(rect_options(anchor_point=point, limit=50, dedup=False))
-    assert len(results) == 50
+    results = find_magic_rectangles(rect_options(anchor_point=point, limit=4))
+    assert len(results) == 4
     p_obs = parse_observable(word)
     for config in results:
-        twin = twin_contexts(4, point.value, packed_contexts(config))
+        twin = complement_config(config, point)
         reference = tuple(
             tuple(
                 (obs.value, obs.sign) if obs.value == point.value else
@@ -1117,15 +1130,9 @@ def test_packed_twin_matches_complement_config(word):
             )
             for ctx in config.contexts
         )
-        assert twin == reference
-        assert twin == packed_contexts(complement_config(config, point))
-
-
-EVEN_Y_WORDS = sorted(
-    "".join(letters)
-    for letters in itertools.product("IXYZ", repeat=4)
-    if "".join(letters) != "IIII" and letters.count("Y") % 2 == 0
-)
+        assert packed_contexts(twin) == reference
+        assert twin_contexts(4, point.value, packed_contexts(config)) == reference
+        assert complement_config(twin, point) == config
 
 
 @settings(max_examples=1, deadline=None)
@@ -1164,8 +1171,8 @@ def test_twins_lie_on_the_clique_of_their_rectangle(word, start):
 @example(word="XIIZ", start=0)
 def test_walk_keys_equal_the_canonical_keys(word, start):
     """On every 40th clique, the walk's keys of each rectangle and of its
-    twin, read from its twin table, are the _canonical keys of the
-    rectangle and of the twin_contexts image."""
+    twin, with twin signs read from its beta values, are the _canonical
+    keys of the rectangle and of the reference twin_contexts image."""
     point = pt(word)
     walk = _RectangleWalk(point)
     found = 0
@@ -1179,10 +1186,23 @@ def test_walk_keys_equal_the_canonical_keys(word, start):
 
 @pytest.mark.parametrize("limit", [4, 1000])
 def test_dedup_search_at_an_odd_y_anchor_raises(limit):
-    """The twin map needs an anchor that squares to +identity; at YIII the
-    first rectangle under dedup raises."""
+    """The twin map needs an anchor that squares to +identity; at YIII a
+    search under dedup raises."""
     with pytest.raises(ContextError, match="anchor YIII squares to -identity"):
         find_magic_rectangles(rect_options(anchor_point=pt("YIII"), limit=limit))
+
+
+@pytest.mark.parametrize("word", ["YIII", "XYZI", "YYYI"])
+def test_dedup_search_checks_the_anchor_before_listing_lagrangians(word):
+    """An odd-Y anchor is rejected before the Lagrangians through it are
+    listed or a clique is walked, with the message complement_config gives."""
+    search._lagrangians.cache_clear()
+    with pytest.raises(ContextError) as raised:
+        find_magic_rectangles(rect_options(anchor_point=pt(word)))
+    assert search._lagrangians.cache_info().misses == 0
+    with pytest.raises(ContextError) as twinned:
+        complement_config(magic_rectangle(), pt(word))
+    assert str(raised.value) == str(twinned.value) == f"anchor {word} squares to -identity"
 
 
 def test_raw_search_at_an_odd_y_anchor_returns_walk_rectangles():
