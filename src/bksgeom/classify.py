@@ -21,7 +21,7 @@ import operator
 from collections import namedtuple
 from typing import Iterator, Optional, Sequence
 
-from .geometry import Subspace, SymplecticPoint, _eliminate, enumerate_points, span
+from .geometry import Subspace, SymplecticPoint, _check_same_space, _eliminate, enumerate_points, span
 from .pauli import point_word
 
 KIND_SINGLE_POINT = "single_point"
@@ -52,11 +52,9 @@ def _checked_points(points: Sequence[SymplecticPoint]) -> list[SymplecticPoint]:
     pts = list(points)
     if not pts:
         raise ValueError("cannot classify an empty point set")
-    n = pts[0].n
     seen: set[int] = set()
     for p in pts:
-        if p.n != n:
-            raise ValueError(f"points live in different spaces (n={n} vs n={p.n})")
+        _check_same_space(pts[0], p)
         if p.value in seen:
             raise ValueError(f"duplicate point {point_word(p)} in set")
         seen.add(p.value)

@@ -338,7 +338,7 @@ def _search_options(args: argparse.Namespace) -> SearchOptions:
     decides where the seed acts."""
     return SearchOptions(
         qubit_count=args.qubits,
-        anchor_point=_parse_anchor(args.anchor) if args.anchor else None,
+        anchor_point=None if args.anchor is None else _parse_anchor(args.anchor),
         shape=args.shape,
         limit=args.limit,
         dedup=not args.no_dedup,

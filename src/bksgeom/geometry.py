@@ -173,11 +173,9 @@ def span(points: Iterable[SymplecticPoint]) -> Subspace:
     pts = list(points)
     if not pts:
         raise ValueError("span of an empty point set is ambiguous; give at least one point")
-    n = pts[0].n
     for p in pts:
-        if p.n != n:
-            raise ValueError(f"points live in different spaces (n={n} vs n={p.n})")
-    return Subspace(n, tuple(_eliminate(p.value for p in pts)[0]))
+        _check_same_space(pts[0], p)
+    return Subspace(pts[0].n, tuple(_eliminate(p.value for p in pts)[0]))
 
 
 def contains(s: Subspace, p: SymplecticPoint) -> bool:

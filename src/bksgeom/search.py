@@ -20,7 +20,7 @@ with ``geometry._span_values``.
 Rectangle search walks 4-cliques of maximal totally isotropic subspaces
 through the anchor (pairwise meeting in lines) on packed integers.  One
 pass per anchor lists those Lagrangians, each once by its greedy basis,
-as RREF rows and point bitsets (see :func:`maximal_isotropic_through`).  A
+as RREF rows and point bitsets (see :func:`_lagrangians`).  A
 rectangle on a clique is fixed by one further point on each of the six
 meet lines: each cap is the anchor, its three picks and their sum.  The
 sign of a product of commuting words summing to zero is a quadratic
@@ -51,7 +51,6 @@ from .geometry import (
     _span_values,
     packed_form,
     reduce_row,
-    span,
 )
 from .magic import Context, MagicConfiguration, check_twin_anchor
 from .pauli import PauliObservable, _from_packed, packed_product
@@ -193,9 +192,15 @@ def enumerate_caps(subspace: Subspace) -> List[Tuple[SymplecticPoint, ...]]:
     return [tuple(point[v] for v in cap) for cap in caps]
 
 
-@functools.lru_cache(maxsize=8)
 def maximal_isotropic_through(point: SymplecticPoint) -> Tuple[Subspace, ...]:
-    """Every maximal totally isotropic subspace containing the point.
+    """Every maximal totally isotropic subspace containing the point, as
+    Subspaces built from the cached listing of :func:`_lagrangians`."""
+    return tuple(Subspace(point.n, rows) for rows in _lagrangians(point)[0])
+
+
+@functools.lru_cache(maxsize=8)
+def _lagrangians(point: SymplecticPoint) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]:
+    """The sorted RREF rows of the Lagrangians through the point, and their point bitsets.
 
     These have rank N; through any point of W(2N-1, 2) there are
     (2 + 1)(4 + 1)...(2^(N-1) + 1) = 1, 3, 15, 135 for N = 1..4.
@@ -211,12 +216,6 @@ def maximal_isotropic_through(point: SymplecticPoint) -> Tuple[Subspace, ...]:
     packed values.  A pick has a 0 at the earlier picks' top bits and a
     higher one, so the RREF rows are the picks and p reduced by them.
     """
-    return tuple(Subspace(point.n, rows) for rows in _lagrangians(point)[0])
-
-
-@functools.lru_cache(maxsize=8)
-def _lagrangians(point: SymplecticPoint) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]:
-    """The sorted RREF rows of the Lagrangians through the point, and their point bitsets."""
     n, width, p = point.n, 2 * point.n, point.value
     full = (1 << (1 << width)) - 1
     # top[b]: the values with bit b set, the upper half of each run of
@@ -254,8 +253,7 @@ def cap_census(options: SearchOptions) -> List[Tuple[Subspace, List[Tuple[Symple
         raise ValueError("cap_census expects shape 'ovoid_census'")
     n = options.qubit_count
     if n == 2:
-        unit = [SymplecticPoint.from_value(2, 1 << i) for i in range(4)]
-        ambients = [span(unit)]
+        ambients = [Subspace(2, (8, 4, 2, 1))]
     elif n == 4:
         ambients = magic_rectangle().context_spans()[:4]
     else:
@@ -336,22 +334,15 @@ def _zeros(sign: int, linear: int, q: int, width: int) -> int:
 
 
 @functools.cache
-def _fibers(cap: int) -> List[int]:
-    """The 64-bit masks of the pick combos (bit s picks a point of meet
-    line s) by index t: for cap 0-3 its bits on the cap's slots i, j, k as
-    4i + 2j + k, for cap 4 with bit a their XOR on cap a's slots."""
+def _spread(mask: int, cap: int) -> int:
+    """The 64-bit mask of the pick combos (bit s picks a point of meet
+    line s) whose index t is in ``mask``: for cap 0-3 a combo's bits on
+    the cap's slots i, j, k as 4i + 2j + k, for cap 4 with bit a their
+    XOR on cap a's slots."""
     slots = _CAP_SLOTS if cap == 4 else [(s,) for s in _CAP_SLOTS[cap][::-1]]
     rows = [sum(1 << s for s in row) for row in slots]  # bit r of t is a parity on rows[r]
-    fibers = [0] * (1 << len(rows))
-    for combo in range(64):
-        fibers[sum((combo & row).bit_count() % 2 << r for r, row in enumerate(rows))] |= 1 << combo
-    return fibers
-
-
-@functools.cache
-def _spread(mask: int, cap: int) -> int:
-    """The 64-bit mask of the pick combos whose index is in ``mask``."""
-    return sum(_fibers(cap)[t] for t in _bits(mask))
+    indices = [sum((c & row).bit_count() % 2 << r for r, row in enumerate(rows)) for c in range(64)]
+    return sum(1 << c for c, t in enumerate(indices) if mask >> t & 1)
 
 
 class _RectangleWalk:

@@ -16,10 +16,18 @@ from hypothesis import strategies as st
 
 import bksgeom.cli
 import bksgeom.magic
-from bksgeom.cli import build_report, emit_config_text, main, parse_config_text, read_config_file
+from bksgeom.classify import classify_set
+from bksgeom.cli import (
+    build_report,
+    emit_config_text,
+    main,
+    parse_config_text,
+    read_config_file,
+    render_report,
+)
 from bksgeom.magic import Context, MagicConfiguration
 from bksgeom.geometry import MAX_QUBITS, SymplecticPoint, _span_values, packed_form, reduce_row
-from bksgeom.pauli import ParseError, format_observable, point_word
+from bksgeom.pauli import ParseError, format_observable, parse_observable, point_word, to_symplectic
 from bksgeom.rectangle import CONTEXT_NAMES, CONTEXT_WORDS, TWIN_CONTEXT_WORDS, magic_rectangle
 from bksgeom.search import find_magic_rectangles
 
@@ -304,6 +312,33 @@ def test_classify_json(rect_path, capsys):
     assert all(entry["totally_isotropic"] for entry in report["contexts"])
 
 
+def test_generic_context_detail_reaches_report_and_classify(tmp_path, capsys):
+    """Two skew lines form a six-point context of rank 4 that no shape
+    fits: its label's detail is the report entry's classification_detail
+    and a detail: line of both the report and the classify text."""
+    words = ["XIII", "IXII", "XXII", "IIXI", "IIIX", "IIXX"]
+    detail = "no recognised shape for 6 points of rank 4"
+    points = [to_symplectic(parse_observable(word)) for word in words]
+    assert classify_set(points) == ("generic", 4, detail)
+    report, code = build_report(MagicConfiguration.from_words([words]), [None])
+    assert code == 1
+    (entry,) = report["contexts"]
+    assert entry["classification"] == "generic"
+    assert entry["classification_detail"] == detail
+    assert f"\n  sign +1, rank 4, totally isotropic, generic\n  detail: {detail}\n" in (
+        render_report(report)
+    )
+    path = tmp_path / "six.txt"
+    path.write_text("\n".join(words) + "\n")
+    assert main(["classify", str(path)]) == 0
+    assert f"\n  generic, rank 4, totally isotropic\n  detail: {detail}\n" in (
+        capsys.readouterr().out
+    )
+    assert main(["classify", str(path), "--json"]) == 0
+    (entry,) = json.loads(capsys.readouterr().out)["contexts"]
+    assert entry["classification_detail"] == detail
+
+
 # ---------------------------------------------------------------------------
 # complement
 
@@ -520,6 +555,19 @@ def test_search_bad_anchor_exits_2(capsys):
         ["search", "--qubits", "4", "--shape", "hc_rectangle", "--anchor", "IIII"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "qubits, shape", [("4", "hc_rectangle"), ("2", "mermin_square"), ("2", "ovoid_census")]
+)
+def test_search_empty_anchor_exits_3(qubits, shape, capsys):
+    """An empty --anchor is a parse error, as an empty --point is for
+    complement, not a request for the shape's default anchor."""
+    code = main(["search", "--qubits", qubits, "--shape", shape, "--anchor", ""])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: empty observable word in ''\n"
 
 
 def test_search_bad_limit_exits_2(capsys):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from bksgeom import magic
 from bksgeom.classify import KIND_LINE, classify_set, projective_closure
-from bksgeom.cli import main
+from bksgeom.cli import build_report, main
 from bksgeom.geometry import Subspace, SymplecticPoint, enumerate_points, is_totally_isotropic
 from bksgeom.magic import (
     Context,
@@ -574,6 +574,20 @@ def test_shared_point_absent_for_mermin_square():
     config = MagicConfiguration.from_words(MERMIN_SQUARE)
     with pytest.raises(ContextError, match="no pair of context spans meets in a line"):
         shared_point(config)
+
+
+def test_shared_point_absent_when_the_meets_share_a_line():
+    """One line context given twice: its two spans meet in that line, so
+    the common intersection has rank 2 and names no single point; the
+    report lists the line and gives no shared point and no twin."""
+    config = MagicConfiguration.from_words([["XI", "IX", "XX"], ["XI", "IX", "XX"]])
+    with pytest.raises(ContextError) as raised:
+        shared_point(config)
+    assert str(raised.value) == "no unique shared point; common intersection has rank 2"
+    report, code = build_report(config, [None, None])
+    assert code == 1
+    assert report["shared_point"] is None and report["twin"] is None
+    assert report["lines"] == [{"contexts": [0, 1], "points": ["IX", "XI", "XX"]}]
 
 
 # ---------------------------------------------------------------------------

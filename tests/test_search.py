@@ -273,7 +273,6 @@ def test_cold_search_makes_no_rref_call_and_no_subspace(monkeypatch):
         monkeypatch.setattr(module, "_eliminate", counted_eliminate)
     monkeypatch.setattr(geometry.Subspace, "__new__", staticmethod(counted_new))
     search._lagrangians.cache_clear()
-    maximal_isotropic_through.cache_clear()
     results = find_magic_rectangles(rect_options(limit=4))
     assert len(results) == 4
     assert calls == {"eliminate": 0, "subspace": 0}
