@@ -111,7 +111,8 @@ def parse_config_text(text: str) -> List[Tuple[Optional[str], List[PauliObservab
 def read_config_file(
     path: str,
 ) -> Tuple[MagicConfiguration, List[Optional[str]]]:
-    with open(path, "r", encoding="utf-8") as handle:
+    # utf-8-sig drops a leading byte-order mark, as editors on Windows write one.
+    with open(path, "r", encoding="utf-8-sig") as handle:
         text = handle.read()
     blocks = parse_config_text(text)
     names = [name for name, _ in blocks]
@@ -143,14 +144,6 @@ def _block_text(entries: Sequence[Dict]) -> str:
         header = [f"name: {entry['name']}"] if entry["name"] else []
         chunks.append("\n".join(header + entry["observables"]))
     return "\n\n".join(chunks) + "\n"
-
-
-def emit_config_text(
-    config: MagicConfiguration, names: Sequence[Optional[str]]
-) -> str:
-    """Render a configuration in the block file format, members in
-    canonical order, context sequence preserved."""
-    return _block_text(_named_contexts(config.contexts, names))
 
 
 # ---------------------------------------------------------------------------
@@ -311,20 +304,13 @@ def cmd_classify(args: argparse.Namespace) -> Outcome:
     return block, _render_classify, 0
 
 
-def _parse_anchor(word: str) -> SymplecticPoint:
-    obs = parse_observable(word)
-    if obs.is_identity:
-        raise ContextError(f"{word!r} is an identity word, not a point")
-    return to_symplectic(obs)
-
-
 def _render_complement(block: Dict) -> str:
     return f"# complement through {block['point']}\n" + _block_text(block["contexts"])
 
 
 def cmd_complement(args: argparse.Namespace) -> Outcome:
     config, names = read_config_file(args.file)
-    pivot = _parse_anchor(args.point)
+    pivot = to_symplectic(parse_observable(args.point))
     twin = complement_config(config, pivot)
     block = {
         "point": point_word(pivot),
@@ -338,7 +324,7 @@ def _search_options(args: argparse.Namespace) -> SearchOptions:
     decides where the seed acts."""
     return SearchOptions(
         qubit_count=args.qubits,
-        anchor_point=None if args.anchor is None else _parse_anchor(args.anchor),
+        anchor_point=None if args.anchor is None else to_symplectic(parse_observable(args.anchor)),
         shape=args.shape,
         limit=args.limit,
         dedup=not args.no_dedup,

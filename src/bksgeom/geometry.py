@@ -35,6 +35,21 @@ def packed_form(n: int, u: int, v: int) -> int:
     return ((u >> n) & v ^ u & (v >> n)).bit_count() & 1
 
 
+def _check_qubits(n: int, x: int = 0, z: int = 0) -> None:
+    """The records' shared checks: 1 <= n <= MAX_QUBITS, and x and z are n-bit masks."""
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
+    top = 1 << n
+    if not 0 <= x < top or not 0 <= z < top:
+        raise ValueError(f"component masks out of range for n={n}")
+
+
+def _check_same_space(a, b) -> None:
+    """Raise unless two points, observables or subspaces share their qubit count."""
+    if a.n != b.n:
+        raise ValueError(f"operands live in different spaces (n={a.n} vs n={b.n})")
+
+
 def reduce_row(value: int, rows: Iterable[int]) -> int:
     """Reduce a GF(2) row vector against rows in descending pivot order.
 
@@ -60,11 +75,7 @@ class SymplecticPoint(namedtuple("SymplecticPoint", "n x z")):
     __slots__ = ()
 
     def __new__(cls, n: int, x: int, z: int) -> "SymplecticPoint":
-        if not 1 <= n <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
-        top = 1 << n
-        if not 0 <= x < top or not 0 <= z < top:
-            raise ValueError(f"component masks out of range for n={n}")
+        _check_qubits(n, x, z)
         if x == 0 and z == 0:
             raise ValueError("the zero vector is not a projective point")
         return tuple.__new__(cls, (n, x, z))
@@ -79,11 +90,6 @@ class SymplecticPoint(namedtuple("SymplecticPoint", "n x z")):
         if not 0 < value < 1 << (2 * n):
             raise ValueError(f"value {value} out of range for n={n}")
         return cls(n, value >> n, value & ((1 << n) - 1))
-
-
-def _check_same_space(u: SymplecticPoint, v: SymplecticPoint) -> None:
-    if u.n != v.n:
-        raise ValueError(f"points live in different spaces (n={u.n} vs n={v.n})")
 
 
 def symplectic_form(u: SymplecticPoint, v: SymplecticPoint) -> int:
@@ -149,8 +155,7 @@ class Subspace(namedtuple("Subspace", "n rows")):
     __slots__ = ()
 
     def __new__(cls, n: int, rows: tuple[int, ...]) -> "Subspace":
-        if not 1 <= n <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
+        _check_qubits(n)
         above, bound = 0, 1 << 2 * n  # rows so far, and the last pivot
         for row in rows:
             if not 0 < row < bound or above & (pivot := 1 << row.bit_length() >> 1):
@@ -180,8 +185,7 @@ def span(points: Iterable[SymplecticPoint]) -> Subspace:
 
 def contains(s: Subspace, p: SymplecticPoint) -> bool:
     """Whether the point lies in the subspace (reduce against the RREF rows)."""
-    if s.n != p.n:
-        raise ValueError(f"point and subspace live in different spaces (n={p.n} vs n={s.n})")
+    _check_same_space(p, s)
     return reduce_row(p.value, s.rows) == 0
 
 
@@ -213,8 +217,7 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     vector of both; as each operand's rows are independent, these
     vectors are a basis of the intersection.
     """
-    if a.n != b.n:
-        raise ValueError(f"subspaces live in different spaces (n={a.n} vs n={b.n})")
+    _check_same_space(a, b)
     relations = _eliminate(a.rows + b.rows)[1]
     meet = (
         functools.reduce(operator.xor, (row for i, row in enumerate(a.rows) if r >> i & 1))

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Iterable
 
-from .geometry import MAX_QUBITS, SymplecticPoint, packed_form
+from .geometry import MAX_QUBITS, SymplecticPoint, _check_qubits, _check_same_space, packed_form
 
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _BITS_LETTER = {bits: letter for letter, bits in _LETTER_BITS.items()}
@@ -46,11 +46,7 @@ class PauliObservable(namedtuple("PauliObservable", "n x z sign")):
     def __new__(cls, n: int, x: int, z: int, sign: int = 1) -> "PauliObservable":
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign}")
-        if not 1 <= n <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
-        top = 1 << n
-        if not 0 <= x < top or not 0 <= z < top:
-            raise ValueError(f"component masks out of range for n={n}")
+        _check_qubits(n, x, z)
         return tuple.__new__(cls, (n, x, z, sign))
 
     @property
@@ -70,10 +66,6 @@ class PauliObservable(namedtuple("PauliObservable", "n x z sign")):
         for k in range(self.n - 1, -1, -1):
             out.append(_BITS_LETTER[(self.x >> k) & 1, (self.z >> k) & 1])
         return "".join(out)
-
-
-def identity(n: int) -> PauliObservable:
-    return PauliObservable(n, 0, 0, 1)
 
 
 def parse_observable(text: str) -> PauliObservable:
@@ -109,11 +101,6 @@ def format_observable(obs: PauliObservable) -> str:
     """Render an observable; positive words carry no sign prefix."""
     prefix = "-" if obs.sign < 0 else ""
     return prefix + obs.letters
-
-
-def _check_same_space(a: PauliObservable, b: PauliObservable) -> None:
-    if a.n != b.n:
-        raise ValueError(f"observables act on different qubit counts ({a.n} vs {b.n})")
 
 
 def packed_product(n: int, values: Iterable[int]) -> tuple[int, int]:
@@ -172,7 +159,7 @@ def to_symplectic(obs: PauliObservable) -> SymplecticPoint:
     point, so they are rejected.
     """
     if obs.is_identity:
-        raise ValueError("identity observables do not define a projective point")
+        raise ValueError(f"{format_observable(obs)!r} is an identity word, not a point")
     return SymplecticPoint(obs.n, obs.x, obs.z)
 
 

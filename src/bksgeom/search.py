@@ -45,9 +45,9 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import _kernels
 from .geometry import (
-    MAX_QUBITS,
     Subspace,
     SymplecticPoint,
+    _check_qubits,
     _span_values,
     packed_form,
     reduce_row,
@@ -91,8 +91,7 @@ class SearchOptions(
     ) -> "SearchOptions":
         if shape not in SHAPES:
             raise ValueError(f"unknown shape {shape!r}; expected one of {SHAPES}")
-        if not 1 <= qubit_count <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}]")
+        _check_qubits(qubit_count)
         if limit < 1:
             raise ValueError("limit must be at least 1")
         if anchor_point is not None and anchor_point.n != qubit_count:
@@ -283,7 +282,9 @@ def find_mermin_squares(options: SearchOptions) -> List[MagicConfiguration]:
     hold three more lines, its columns; as lines are point bitmasks, the
     rows are disjoint when their union has nine bits.  Each grid's six
     lines split into rows and columns in one way only, so it is taken
-    once, with the lexicographically smaller triple as rows.
+    once, with the lexicographically smaller triple as rows.  No sign
+    test is needed: each of the ten grids of W(3, 2) has an odd number
+    of lines whose product is -I, so all ten are magic.
     Deterministic: grids come in ascending order of their point sets,
     canonicalised under dedup.
     """
@@ -308,8 +309,6 @@ def find_mermin_squares(options: SearchOptions) -> List[MagicConfiguration]:
         for points, grid in sorted(grids):
             if anchor is not None and anchor.value not in points:
                 continue
-            if sum(packed_product(n, lines[i])[0] < 0 for i in grid) % 2 == 0:
-                continue  # an even number of negative lines: not magic
             contexts = tuple(tuple((v, 1) for v in lines[i]) for i in grid)
             yield [_canonical(contexts) if options.dedup else contexts]
 

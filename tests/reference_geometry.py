@@ -1,14 +1,18 @@
-"""Point and subspace helpers that the package itself does not use, kept
-for the tests: every point of a space, the join of two subspaces,
-independent implementations of what ``geometry._eliminate`` computes
-(reduced row echelon form, the Zassenhaus intersection, the valuation
-solve by Gauss-Jordan elimination with lowest-bit pivots, and the shape
-witnesses of ``classify_set`` by brute-force loops), the Mermin-square
-search by line partitions of nine points, and the twin map on contexts in
-packed (value, sign) form."""
+"""Helpers and oracles that the package itself does not use, kept for the
+tests, one copy each: the point a word names, every point of a space,
+words as real matrices, the join of two subspaces, independent
+implementations of what ``geometry._eliminate`` computes (reduced row
+echelon form, the Zassenhaus intersection, the valuation solve by
+Gauss-Jordan elimination with lowest-bit pivots and by an ascending
+scan, and the shape witnesses of ``classify_set`` by brute-force loops),
+the Mermin-square search by line partitions of nine points, and the twin
+map on contexts in packed (value, sign) form."""
 
+import functools
 import itertools
 from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from bksgeom.classify import (
     KIND_AFFINE_PLANE,
@@ -23,8 +27,29 @@ from bksgeom.classify import (
 )
 from bksgeom.geometry import Subspace, SymplecticPoint, packed_form, reduce_row
 from bksgeom.magic import ContextError, MagicConfiguration
-from bksgeom.pauli import packed_product, point_word
+from bksgeom.pauli import packed_product, parse_observable, point_word, to_symplectic
 from bksgeom.search import SearchOptions, _canonical, _collect
+
+
+def pt(word: str) -> SymplecticPoint:
+    """The point a word names, e.g. pt("IXII")."""
+    return to_symplectic(parse_observable(word))
+
+
+# 2x2 real matrices of the letters; Y = XZ, so no imaginary unit appears.
+_LETTER_MATRICES = {
+    "I": np.array([[1, 0], [0, 1]]),
+    "X": np.array([[0, 1], [1, 0]]),
+    "Y": np.array([[0, -1], [1, 0]]),
+    "Z": np.array([[1, 0], [0, -1]]),
+}
+
+
+def word_matrix(word: str) -> np.ndarray:
+    """Independent oracle: a signed word such as "-YIZ" as a dense
+    2^N x 2^N integer matrix, the Kronecker product of its letters."""
+    sign, letters = (-1, word[1:]) if word.startswith("-") else (1, word)
+    return sign * functools.reduce(np.kron, (_LETTER_MATRICES[c] for c in letters))
 
 
 def all_points(n: int) -> Iterator[SymplecticPoint]:
@@ -94,6 +119,15 @@ def lsb_valuation_scan(masks, parities, width: int) -> int:
                 entry[2] ^= parity
         rows.append([low, mask, parity])
     return sum(pivot for pivot, _, odd in rows if odd)
+
+
+def brute_valuation_scan(masks, parities, width: int) -> int:
+    """Least v in [0, 2^width) with popcount(v & masks[c]) odd iff
+    parities[c], else -1, by trying every v in ascending order."""
+    for v in range(1 << width):
+        if all(bin(v & m).count("1") % 2 == p for m, p in zip(masks, parities)):
+            return v
+    return -1
 
 
 def collinear_triple(values: Sequence[int]) -> Optional[tuple[int, int, int]]:

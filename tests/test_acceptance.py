@@ -44,6 +44,7 @@ from bksgeom.magic import (
 from bksgeom.pauli import (
     PauliObservable,
     commutes,
+    format_observable,
     multiply,
     parse_observable,
     point_word,
@@ -64,7 +65,7 @@ from bksgeom.search import (
     find_mermin_squares,
 )
 
-from reference_geometry import all_points, subspace_sum
+from reference_geometry import all_points, subspace_sum, word_matrix
 
 # ---------------------------------------------------------------------------
 # frozen expected values for the built-in configuration
@@ -102,22 +103,6 @@ EXPECTED_LINES = {
     (1, 3): {"IXII", "IIXI", "IXXI"},
     (2, 3): {"IXII", "XIII", "XXII"},
 }
-
-# 2x2 real matrices; Y = XZ so every entry is a real integer.
-_M2 = {
-    "I": np.eye(2),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]]),
-}
-_M2["Y"] = _M2["X"] @ _M2["Z"]
-
-
-def matrix_of(obs: PauliObservable) -> np.ndarray:
-    acc = np.array([[float(obs.sign)]])
-    for letter in obs.letters:
-        acc = np.kron(acc, _M2[letter])
-    return acc
-
 
 def run_criterion(capsys, number, budget, description, body):
     """Time a criterion body and print a visible verdict line."""
@@ -299,10 +284,10 @@ def test_criterion_5_oracles(capsys):
                 seen.add(obs)
                 distinct.append(obs)
         assert len(distinct) == 21  # 22 slots, IXII listed in both halves
-        mats = {obs: matrix_of(obs) for obs in distinct}
+        mats = {obs: word_matrix(format_observable(obs)) for obs in distinct}
         for a in distinct:
             for b in distinct:
-                got = matrix_of(multiply(a, b))
+                got = word_matrix(format_observable(multiply(a, b)))
                 assert np.array_equal(got, mats[a] @ mats[b])
 
         # commutes vs the symplectic form: exhaustively at 2 qubits ...

@@ -22,9 +22,9 @@ from bksgeom.classify import (
     projective_closure,
 )
 from bksgeom.geometry import SymplecticPoint, enumerate_points, span
-from bksgeom.pauli import parse_observable, point_word, to_symplectic
+from bksgeom.pauli import point_word
 
-from reference_geometry import brute_classify, collinear_triple
+from reference_geometry import brute_classify, collinear_triple, pt
 
 CONTEXT_WORDS = (
     ("ZIII", "IXII", "IIZI", "IIIX", "ZXZX"),
@@ -36,7 +36,7 @@ CONTEXT_WORDS = (
 
 
 def pts(*words: str) -> list[SymplecticPoint]:
-    return [to_symplectic(parse_observable(w)) for w in words]
+    return [pt(w) for w in words]
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ import bksgeom.cli
 import bksgeom.magic
 from bksgeom.classify import classify_set
 from bksgeom.cli import (
+    _block_text,
+    _named_contexts,
     build_report,
-    emit_config_text,
     main,
     parse_config_text,
     read_config_file,
@@ -95,6 +96,11 @@ CONFIG_FILES = {
 }
 
 
+def emit_config_text(config: MagicConfiguration, names) -> str:
+    """A configuration in the block file format, as complement prints it."""
+    return _block_text(_named_contexts(config.contexts, names))
+
+
 @pytest.fixture
 def rect_path(tmp_path):
     path = tmp_path / "rect.txt"
@@ -158,6 +164,26 @@ def test_emit_parse_round_trip(rect_path):
     assert [n for n, _ in blocks] == names
     again = MagicConfiguration(tuple(Context(tuple(m)) for _, m in blocks))
     assert emit_config_text(again, names) == text
+
+
+@pytest.mark.parametrize("command", [["verify"], ["classify"], ["complement", "--point", "IXII"]])
+def test_byte_order_mark_is_dropped_only_at_the_start(command, tmp_path, capsys):
+    """A file that starts with a UTF-8 byte-order mark reads as the same
+    file without one (stdout, stderr and exit code); a mark anywhere
+    later is an invalid letter."""
+
+    def run(text):
+        path = tmp_path / "config.txt"
+        path.write_text(text, encoding="utf-8")
+        return (main([command[0], str(path), *command[1:]]), *capsys.readouterr())
+
+    plain = run(RECT_FILE)
+    assert plain[0] == 0
+    assert run("\ufeff" + RECT_FILE) == plain
+    for text in ("\ufeff\ufeff" + RECT_FILE, RECT_FILE.replace("ZIII", "\ufeffZIII", 1)):
+        code, out, err = run(text)
+        assert (code, out) == (3, "")
+        assert "invalid letter '\\ufeff'" in err
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +424,7 @@ def test_complement_imaginary_point_exits_2(rect_path, capsys):
 def test_complement_identity_point_exits_2(rect_path, capsys):
     code = main(["complement", rect_path, "--point", "IIII"])
     assert code == 2
-    assert "identity word" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: 'IIII' is an identity word, not a point\n"
 
 
 def test_complement_bad_point_exits_3(rect_path, capsys):
@@ -551,10 +577,10 @@ def test_search_text_output(capsys):
 
 
 def test_search_bad_anchor_exits_2(capsys):
-    code = main(
-        ["search", "--qubits", "4", "--shape", "hc_rectangle", "--anchor", "IIII"]
-    )
-    assert code == 2
+    for qubits, shape, word in (("4", "hc_rectangle", "IIII"), ("2", "mermin_square", "II")):
+        code = main(["search", "--qubits", qubits, "--shape", shape, "--anchor", word])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: '{word}' is an identity word, not a point\n"
 
 
 @pytest.mark.parametrize(

@@ -19,13 +19,7 @@ from bksgeom.geometry import (
     symplectic_form,
     third_point,
 )
-from bksgeom.pauli import parse_observable, to_symplectic
-
-from reference_geometry import all_points, rref, subspace_sum, zassenhaus_intersect
-
-
-def pt(word: str) -> SymplecticPoint:
-    return to_symplectic(parse_observable(word))
+from reference_geometry import all_points, pt, rref, subspace_sum, zassenhaus_intersect
 
 
 def rand_point(rng: random.Random, n: int) -> SymplecticPoint:

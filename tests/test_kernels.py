@@ -13,17 +13,7 @@ from hypothesis import strategies as st
 
 from bksgeom import _kernels
 
-from reference_geometry import lsb_valuation_scan
-
-
-def brute_valuation_scan(masks, parities, width):
-    """Reference implementation in plain Python."""
-    for v in range(1 << width):
-        if all(
-            bin(v & m).count("1") % 2 == p for m, p in zip(masks, parities)
-        ):
-            return v
-    return -1
+from reference_geometry import brute_valuation_scan, lsb_valuation_scan
 
 
 def random_instance(rng, width, count):

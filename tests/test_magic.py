@@ -7,13 +7,19 @@ import operator
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bksgeom import magic
 from bksgeom.classify import KIND_LINE, classify_set, projective_closure
 from bksgeom.cli import build_report, main
-from bksgeom.geometry import Subspace, SymplecticPoint, enumerate_points, is_totally_isotropic
+from bksgeom.geometry import (
+    Subspace,
+    SymplecticPoint,
+    enumerate_points,
+    is_totally_isotropic,
+    packed_form,
+)
 from bksgeom.magic import (
     Context,
     ContextError,
@@ -32,10 +38,8 @@ from bksgeom.pauli import (
     _from_packed,
     commutes,
     format_observable,
-    parse_observable,
     point_word,
     product_of_set,
-    to_symplectic,
 )
 from bksgeom.rectangle import (
     CONTEXT_WORDS,
@@ -44,11 +48,9 @@ from bksgeom.rectangle import (
     magic_rectangle,
     twin_rectangle,
 )
-from bksgeom.search import SearchOptions, find_magic_rectangles, maximal_isotropic_through
+from bksgeom.search import SearchOptions, find_magic_rectangles
 
-
-def pt(word: str) -> SymplecticPoint:
-    return to_symplectic(parse_observable(word))
+from reference_geometry import brute_valuation_scan, pt, word_matrix
 
 
 MERMIN_SQUARE = (
@@ -125,36 +127,61 @@ def _outcome(check, ctx: Context):
     return None
 
 
-@st.composite
-def _observable(draw, n: int) -> PauliObservable:
-    value = draw(st.integers(0, (1 << 2 * n) - 1))
-    return PauliObservable(n, value >> n, value & ((1 << n) - 1), draw(st.sampled_from((1, -1))))
+# The strategies below draw one integer per member where they can, and
+# build each strategy once per qubit count: hypothesis spends far more
+# time per drawn primitive and per new strategy than bksgeom spends on a
+# context.
+
+
+@functools.cache
+def _observables(n: int):
+    """Signed words on n qubits, identities included; the low bit of the
+    drawn integer is the sign."""
+    codes = st.integers(0, (2 << 2 * n) - 1)
+    return codes.map(lambda code: _from_packed(n, code >> 1, -1 if code & 1 else 1))
+
+
+def _commuting(n: int, picks: list, value: int) -> int:
+    """The first value from value on that commutes with every pick,
+    wrapping round to 1, so that only value 0 gives the identity."""
+    candidates = itertools.chain(range(value, 1 << 2 * n), range(1, value))
+    return next(w for w in candidates if not any(packed_form(n, w, p) for p in picks))
+
+
+@functools.cache
+def _valid_contexts(n: int):
+    """Contexts that validate_context accepts: one to four pairwise
+    commuting words (repeats and identities allowed, so some contexts are
+    identity-only), their sum, which may be the identity, and up to two
+    more identities, each put at a drawn place, with drawn signs."""
+
+    @st.composite
+    def valid_context(draw) -> Context:
+        picks: list = []
+        for _ in range(draw(st.integers(1, 4))):
+            picks.append(_commuting(n, picks, draw(st.integers(0, (1 << 2 * n) - 1))))
+        values = list(picks)
+        for value in [functools.reduce(operator.xor, picks)] + [0] * draw(st.integers(0, 2)):
+            values.insert(draw(st.integers(0, len(values))), value)
+        signs = draw(st.integers(0, (1 << len(values)) - 1))
+        members = (_from_packed(n, v, -1 if signs >> i & 1 else 1) for i, v in enumerate(values))
+        return Context(tuple(members))
+
+    return valid_context()
 
 
 @st.composite
 def _context(draw) -> Context:
     """Signed members with identities; mostly one qubit count, some mixed.
-    Half the draws pick members from one Lagrangian and close them with
-    their product, so that valid contexts occur at every n."""
+    Half the draws are valid contexts, so that those occur at every n."""
     n = draw(st.integers(1, 4))
     if draw(st.booleans()):
-        members = draw(st.lists(_observable(n), max_size=6))
+        members = draw(st.lists(_observables(n), max_size=6))
     else:
-        anchor = SymplecticPoint.from_value(n, draw(st.integers(1, (1 << 2 * n) - 1)))
-        subs = maximal_isotropic_through(anchor)
-        points = enumerate_points(draw(st.sampled_from(subs)))
-        picks = draw(st.lists(st.sampled_from(points), min_size=1, max_size=5))
-        closing = 0
-        for p in picks:
-            closing ^= p.value
-        values = [p.value for p in picks] + [closing]
-        members = [
-            PauliObservable(n, v >> n, v & ((1 << n) - 1), draw(st.sampled_from((1, -1))))
-            for v in values
-        ]
+        members = list(draw(_valid_contexts(n)).observables)
     if members and draw(st.integers(0, 4)) == 0:
         other = draw(st.integers(1, 4))
-        members.insert(draw(st.integers(0, len(members))), draw(_observable(other)))
+        members.insert(draw(st.integers(0, len(members))), draw(_observables(other)))
     return Context(tuple(members))
 
 
@@ -170,12 +197,13 @@ def test_validate_context_matches_the_object_level_reference(ctx):
 
 
 @settings(max_examples=400, deadline=None)
-@given(_context())
+@given(st.integers(1, 4).flatmap(_valid_contexts))
+@example(Context.from_words(("II", "-II")))
 def test_accepted_contexts_span_totally_isotropic_subspaces(ctx):
     """A context validate_context accepts has pairwise commuting members,
     so its span, the zero subspace for an identity-only context, is
     totally isotropic: the report states it without a check."""
-    assume(_outcome(validate_context, ctx) is None)
+    assert _outcome(validate_context, ctx) is None
     (sub,) = MagicConfiguration((ctx,)).context_spans()
     assert is_totally_isotropic(sub)
     assert set(ctx.points()) <= set(enumerate_points(sub))
@@ -304,20 +332,9 @@ def test_multiplicities():
 
 @st.composite
 def _configuration(draw) -> MagicConfiguration:
-    """One to five valid contexts at one n <= 4.  Each takes members from
-    one Lagrangian, repeats allowed, closes them with their sum (which
-    may be the identity), mixes in identity members and random signs."""
+    """One to five valid contexts at one n <= 4."""
     n = draw(st.integers(1, 4))
-    contexts = []
-    for _ in range(draw(st.integers(1, 5))):
-        anchor = SymplecticPoint.from_value(n, draw(st.integers(1, (1 << 2 * n) - 1)))
-        points = enumerate_points(draw(st.sampled_from(maximal_isotropic_through(anchor))))
-        values = [p.value for p in draw(st.lists(st.sampled_from(points), min_size=1, max_size=4))]
-        values += [functools.reduce(operator.xor, values)] + [0] * draw(st.integers(0, 2))
-        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(values), max_size=len(values)))
-        members = zip(draw(st.permutations(values)), signs)
-        contexts.append(Context(_from_packed(n, value, sign) for value, sign in members))
-    return MagicConfiguration(contexts)
+    return MagicConfiguration([draw(_valid_contexts(n)) for _ in range(draw(st.integers(1, 5)))])
 
 
 @settings(max_examples=300, deadline=None)
@@ -439,18 +456,12 @@ def test_parity_soundness_on_mutated_configurations():
 
 def brute_least_witness(config):
     """The first satisfying assignment of an ascending scan, or None."""
-    universe = config.universe
+    universe, contexts = config.universe, config.contexts
     index = {p: i for i, p in enumerate(universe)}
-    rows = []
-    for ctx in config.contexts:
-        mask = 0
-        for p in ctx.points():
-            mask ^= 1 << index[p]
-        rows.append((mask, 1 if ctx.canonical_sign == -1 else 0))
-    for v in range(1 << len(universe)):
-        if all(bin(v & mask).count("1") % 2 == odd for mask, odd in rows):
-            return {p: -1 if (v >> i) & 1 else 1 for i, p in enumerate(universe)}
-    return None
+    masks = [functools.reduce(operator.xor, (1 << index[p] for p in ctx.points()), 0) for ctx in contexts]
+    parities = [int(ctx.canonical_sign == -1) for ctx in contexts]
+    v = brute_valuation_scan(masks, parities, len(universe))
+    return None if v < 0 else {p: -1 if (v >> i) & 1 else 1 for i, p in enumerate(universe)}
 
 
 def qubit_word(n, letters):
@@ -712,28 +723,14 @@ def _image(word: str, order, hadamards, gauge) -> str:
     return ("-" if sign < 0 else "") + "".join(letters)
 
 
-# Real matrices of the letters, Y = XZ, for conjugating words by CNOTs.
-_LETTER_MATRICES = {
-    "I": np.eye(2, dtype=int),
-    "X": np.array([[0, 1], [1, 0]]),
-    "Y": np.array([[0, -1], [1, 0]]),
-    "Z": np.array([[1, 0], [0, -1]]),
-}
-
-
-def _word_matrix(word: str) -> np.ndarray:
-    sign, letters = (-1, word[1:]) if word.startswith("-") else (1, word)
-    return sign * functools.reduce(np.kron, (_LETTER_MATRICES[c] for c in letters))
-
-
 @functools.cache
 def _words_by_matrix(n: int) -> dict:
     """Every signed n-qubit word, keyed by the bytes of its matrix."""
     table = {}
     for letters in itertools.product("IXYZ", repeat=n):
         word = "".join(letters)
-        table[_word_matrix(word).tobytes()] = word
-        table[_word_matrix("-" + word).tobytes()] = "-" + word
+        table[word_matrix(word).tobytes()] = word
+        table[word_matrix("-" + word).tobytes()] = "-" + word
     return table
 
 
@@ -746,7 +743,7 @@ def _cnot_image(word: str, control: int, target: int) -> str:
     gate = np.zeros((1 << n, 1 << n), dtype=int)
     for b in range(1 << n):
         gate[b ^ flip if b >> n - 1 - control & 1 else b, b] = 1
-    return _words_by_matrix(n)[(gate @ _word_matrix(word) @ gate).tobytes()]
+    return _words_by_matrix(n)[(gate @ word_matrix(word) @ gate).tobytes()]
 
 
 @settings(max_examples=60, deadline=None)

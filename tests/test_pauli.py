@@ -18,7 +18,6 @@ from bksgeom.pauli import (
     commutes,
     format_observable,
     from_symplectic,
-    identity,
     multiply,
     packed_product,
     parse_observable,
@@ -27,20 +26,7 @@ from bksgeom.pauli import (
     to_symplectic,
 )
 
-# 2x2 real matrices of the four letters; Y = XZ has no imaginary unit.
-_I = np.eye(2)
-_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-_Y = _X @ _Z
-_MATRICES = {"I": _I, "X": _X, "Z": _Z, "Y": _Y}
-
-
-def matrix_of(obs: PauliObservable) -> np.ndarray:
-    """Independent oracle: the observable as a dense real matrix."""
-    acc = np.array([[float(obs.sign)]])
-    for letter in obs.letters:
-        acc = np.kron(acc, _MATRICES[letter])
-    return acc
+from reference_geometry import word_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +60,12 @@ def test_parse_rejects_bad_words(text):
 def test_parse_reports_position():
     with pytest.raises(ParseError, match="position 3"):
         parse_observable("ZIQI")
+
+
+@pytest.mark.parametrize("value,kind", [(None, "NoneType"), (12, "int"), (b"XZ", "bytes")])
+def test_parse_rejects_non_strings(value, kind):
+    with pytest.raises(ParseError, match=f"^expected a string, got {kind}$"):
+        parse_observable(value)
 
 
 def test_parse_length_limit():
@@ -140,8 +132,8 @@ def test_multiply_matches_matrices_random():
         n = rng.randint(1, 3)
         a = PauliObservable(n, rng.randrange(1 << n), rng.randrange(1 << n), rng.choice([1, -1]))
         b = PauliObservable(n, rng.randrange(1 << n), rng.randrange(1 << n), rng.choice([1, -1]))
-        got = matrix_of(multiply(a, b))
-        want = matrix_of(a) @ matrix_of(b)
+        got = word_matrix(format_observable(multiply(a, b)))
+        want = word_matrix(format_observable(a)) @ word_matrix(format_observable(b))
         assert np.array_equal(got, want)
 
 
@@ -175,16 +167,15 @@ def test_commutes_matches_matrices_exhaustive_n2():
     ]
     for a in words:
         for b in words:
-            mats_commute = np.array_equal(
-                matrix_of(a) @ matrix_of(b), matrix_of(b) @ matrix_of(a)
-            )
+            ma, mb = word_matrix(format_observable(a)), word_matrix(format_observable(b))
+            mats_commute = np.array_equal(ma @ mb, mb @ ma)
             assert commutes(a, b) == mats_commute
 
 
 def test_commutes_ignores_signs():
     a = parse_observable("XZ")
     b = parse_observable("ZX")
-    assert commutes(a, b) == commutes(multiply(identity(2), a), b)
+    assert commutes(a, b) == commutes(multiply(PauliObservable(2, 0, 0), a), b)
     neg = PauliObservable(a.n, a.x, a.z, -a.sign)
     assert commutes(a, b) == commutes(neg, b)
 
@@ -246,8 +237,8 @@ def test_product_of_set_matches_matrices_random():
             PauliObservable(n, rng.randrange(1 << n), rng.randrange(1 << n), rng.choice([1, -1]))
             for _ in range(rng.randint(2, 5))
         ]
-        want = functools.reduce(np.matmul, [matrix_of(o) for o in obs])
-        assert np.array_equal(matrix_of(product_of_set(obs)), want)
+        want = functools.reduce(np.matmul, [word_matrix(format_observable(o)) for o in obs])
+        assert np.array_equal(word_matrix(format_observable(product_of_set(obs))), want)
 
 
 def _beta(n: int, u: int, v: int) -> int:
@@ -276,7 +267,7 @@ def test_commuting_product_sign_is_the_pair_form_in_every_order(data, n):
     )
     for order in itertools.permutations(words):
         assert packed_product(n, order) == ((-1) ** exponent, 0)
-    matrices = [matrix_of(observables[v]) for v in words]
+    matrices = [word_matrix(format_observable(observables[v])) for v in words]
     assert np.array_equal(functools.reduce(np.matmul, matrices), (-1) ** exponent * np.eye(1 << n))
 
 
@@ -302,9 +293,9 @@ def test_to_from_symplectic_round_trip():
 
 
 def test_to_symplectic_rejects_identity():
-    with pytest.raises(ValueError):
-        to_symplectic(identity(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^'III' is an identity word, not a point$"):
+        to_symplectic(PauliObservable(3, 0, 0))
+    with pytest.raises(ValueError, match="^'-III' is an identity word, not a point$"):
         to_symplectic(PauliObservable(3, 0, 0, -1))
 
 

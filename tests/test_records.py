@@ -4,15 +4,24 @@ fields cannot be assigned."""
 
 import pytest
 
-from bksgeom.classify import ClassificationLabel
-from bksgeom.geometry import MAX_QUBITS, Subspace, SymplecticPoint
+from bksgeom.classify import ClassificationLabel, classify_set
+from bksgeom.geometry import (
+    MAX_QUBITS,
+    Subspace,
+    SymplecticPoint,
+    contains,
+    intersect,
+    span,
+    symplectic_form,
+    third_point,
+)
 from bksgeom.magic import (
     Context,
     ContextError,
     ContradictionCertificate,
     MagicConfiguration,
 )
-from bksgeom.pauli import PauliObservable
+from bksgeom.pauli import PauliObservable, commutes, multiply, product_of_set
 from bksgeom.search import SHAPES, SearchOptions
 
 POINT = SymplecticPoint(2, 1, 2)
@@ -171,12 +180,36 @@ def test_search_options_validation_messages():
     assert _message(lambda: SearchOptions(4, shape="square")) == (
         f"unknown shape 'square'; expected one of {SHAPES}"
     )
+    bound = f"qubit count must be in [1, {MAX_QUBITS}], got"
     for count in (0, MAX_QUBITS + 1):
-        assert _message(lambda: SearchOptions(count)) == f"qubit count must be in [1, {MAX_QUBITS}]"
+        assert _message(lambda: SearchOptions(count)) == f"{bound} {count}"
     assert _message(lambda: SearchOptions(4, limit=0)) == "limit must be at least 1"
     assert _message(lambda: SearchOptions(4, anchor_point=POINT)) == (
         "anchor lives in n=2, search space has n=4"
     )
+
+
+P2, P3 = SymplecticPoint(2, 1, 0), SymplecticPoint(3, 1, 0)
+O2, O3 = PauliObservable(2, 1, 0), PauliObservable(3, 1, 0)
+S2, S3 = Subspace(2, (4,)), Subspace(3, (8,))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: symplectic_form(P2, P3), id="points-form"),
+        pytest.param(lambda: third_point(P2, P3), id="points-third"),
+        pytest.param(lambda: span((P2, P3)), id="points-span"),
+        pytest.param(lambda: classify_set((P2, P3)), id="points-classify"),
+        pytest.param(lambda: multiply(O2, O3), id="observables-multiply"),
+        pytest.param(lambda: commutes(O2, O3), id="observables-commute"),
+        pytest.param(lambda: product_of_set((O2, O3)), id="observables-product"),
+        pytest.param(lambda: contains(S3, P2), id="point-and-subspace"),
+        pytest.param(lambda: intersect(S2, S3), id="subspaces"),
+    ],
+)
+def test_records_from_different_spaces_share_one_message(call):
+    assert _message(call) == "operands live in different spaces (n=2 vs n=3)"
 
 
 def test_configuration_equality_ignores_canonical_signs():

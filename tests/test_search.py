@@ -45,7 +45,6 @@ from bksgeom.pauli import (
     packed_product,
     parse_observable,
     point_word,
-    to_symplectic,
 )
 from bksgeom.rectangle import anchor_point, magic_rectangle, twin_rectangle
 from bksgeom.search import (
@@ -64,14 +63,12 @@ from bksgeom.search import (
 from reference_geometry import (
     packed_contexts,
     partition_mermin_squares,
+    pt,
     rref,
     subspace_sum,
     twin_contexts,
+    word_matrix,
 )
-
-
-def pt(word: str) -> SymplecticPoint:
-    return to_symplectic(parse_observable(word))
 
 
 S1_POINTS = frozenset(
@@ -840,19 +837,6 @@ def test_two_line_partitions_of_nine_points_form_a_grid():
         assert classify_set(points).kind == KIND_GRID
 
 
-# Real 2x2 matrices of the letters, Y = XZ.
-_LETTERS = {
-    "I": ((1, 0), (0, 1)),
-    "X": ((0, 1), (1, 0)),
-    "Y": ((0, -1), (1, 0)),
-    "Z": ((1, 0), (0, -1)),
-}
-
-
-def _word_matrix(word: str):
-    return functools.reduce(np.kron, (np.array(_LETTERS[c]) for c in word))
-
-
 def test_mermin_squares_are_the_commuting_grids_of_w32():
     """An oracle sharing no code with either search: the point sets of the
     squares are exactly the nine-point sets that ``classify_set`` labels a
@@ -868,7 +852,7 @@ def test_mermin_squares_are_the_commuting_grids_of_w32():
         assert len(lines) == 6
         products = []
         for line in lines:
-            a, b, c = (_word_matrix(point_word(p)) for p in line)
+            a, b, c = (word_matrix(point_word(p)) for p in line)
             if not (np.array_equal(a @ b, b @ a) and np.array_equal(a @ c, c @ a)):
                 break
             products.append(int((a @ b @ c)[0, 0]))
