@@ -45,10 +45,14 @@ _LETTER_MATRICES = {
 }
 
 
-def word_matrix(word: str) -> np.ndarray:
-    """Independent oracle: a signed word such as "-YIZ" as a dense
-    2^N x 2^N integer matrix, the Kronecker product of its letters."""
-    sign, letters = (-1, word[1:]) if word.startswith("-") else (1, word)
+def word_matrix(word) -> np.ndarray:
+    """Independent oracle: a signed word, as text such as "-YIZ" or as a
+    PauliObservable, as a dense 2^N x 2^N integer matrix, the Kronecker
+    product of its letters."""
+    if isinstance(word, str):
+        sign, letters = (-1, word[1:]) if word.startswith("-") else (1, word)
+    else:
+        sign, letters = word.sign, word.letters
     return sign * functools.reduce(np.kron, (_LETTER_MATRICES[c] for c in letters))
 
 

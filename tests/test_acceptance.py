@@ -14,7 +14,6 @@ import random
 import time
 
 import numpy as np
-import pytest
 
 from bksgeom.classify import (
     KIND_AFFINE_PLANE,
@@ -33,7 +32,6 @@ from bksgeom.geometry import (
     symplectic_form,
 )
 from bksgeom.magic import (
-    MagicConfiguration,
     complement_config,
     context_sign,
     exhaustive_nchv_check,
@@ -44,11 +42,9 @@ from bksgeom.magic import (
 from bksgeom.pauli import (
     PauliObservable,
     commutes,
-    format_observable,
     multiply,
     parse_observable,
     point_word,
-    to_symplectic,
 )
 from bksgeom.rectangle import (
     CONTEXT_WORDS,
@@ -284,10 +280,10 @@ def test_criterion_5_oracles(capsys):
                 seen.add(obs)
                 distinct.append(obs)
         assert len(distinct) == 21  # 22 slots, IXII listed in both halves
-        mats = {obs: word_matrix(format_observable(obs)) for obs in distinct}
+        mats = {obs: word_matrix(obs) for obs in distinct}
         for a in distinct:
             for b in distinct:
-                got = word_matrix(format_observable(multiply(a, b)))
+                got = word_matrix(multiply(a, b))
                 assert np.array_equal(got, mats[a] @ mats[b])
 
         # commutes vs the symplectic form: exhaustively at 2 qubits ...

@@ -150,7 +150,7 @@ def _commuting(n: int, picks: list, value: int) -> int:
 
 @functools.cache
 def _valid_contexts(n: int):
-    """Contexts that validate_context accepts: one to four pairwise
+    """Contexts that validate_context accepts: one to five pairwise
     commuting words (repeats and identities allowed, so some contexts are
     identity-only), their sum, which may be the identity, and up to two
     more identities, each put at a drawn place, with drawn signs."""
@@ -158,7 +158,7 @@ def _valid_contexts(n: int):
     @st.composite
     def valid_context(draw) -> Context:
         picks: list = []
-        for _ in range(draw(st.integers(1, 4))):
+        for _ in range(draw(st.integers(1, 5))):
             picks.append(_commuting(n, picks, draw(st.integers(0, (1 << 2 * n) - 1))))
         values = list(picks)
         for value in [functools.reduce(operator.xor, picks)] + [0] * draw(st.integers(0, 2)):

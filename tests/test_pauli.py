@@ -132,8 +132,8 @@ def test_multiply_matches_matrices_random():
         n = rng.randint(1, 3)
         a = PauliObservable(n, rng.randrange(1 << n), rng.randrange(1 << n), rng.choice([1, -1]))
         b = PauliObservable(n, rng.randrange(1 << n), rng.randrange(1 << n), rng.choice([1, -1]))
-        got = word_matrix(format_observable(multiply(a, b)))
-        want = word_matrix(format_observable(a)) @ word_matrix(format_observable(b))
+        got = word_matrix(multiply(a, b))
+        want = word_matrix(a) @ word_matrix(b)
         assert np.array_equal(got, want)
 
 
@@ -167,7 +167,7 @@ def test_commutes_matches_matrices_exhaustive_n2():
     ]
     for a in words:
         for b in words:
-            ma, mb = word_matrix(format_observable(a)), word_matrix(format_observable(b))
+            ma, mb = word_matrix(a), word_matrix(b)
             mats_commute = np.array_equal(ma @ mb, mb @ ma)
             assert commutes(a, b) == mats_commute
 
@@ -237,8 +237,8 @@ def test_product_of_set_matches_matrices_random():
             PauliObservable(n, rng.randrange(1 << n), rng.randrange(1 << n), rng.choice([1, -1]))
             for _ in range(rng.randint(2, 5))
         ]
-        want = functools.reduce(np.matmul, [word_matrix(format_observable(o)) for o in obs])
-        assert np.array_equal(word_matrix(format_observable(product_of_set(obs))), want)
+        want = functools.reduce(np.matmul, [word_matrix(o) for o in obs])
+        assert np.array_equal(word_matrix(product_of_set(obs)), want)
 
 
 def _beta(n: int, u: int, v: int) -> int:
@@ -267,7 +267,7 @@ def test_commuting_product_sign_is_the_pair_form_in_every_order(data, n):
     )
     for order in itertools.permutations(words):
         assert packed_product(n, order) == ((-1) ** exponent, 0)
-    matrices = [word_matrix(format_observable(observables[v])) for v in words]
+    matrices = [word_matrix(observables[v]) for v in words]
     assert np.array_equal(functools.reduce(np.matmul, matrices), (-1) ** exponent * np.eye(1 << n))
 
 
