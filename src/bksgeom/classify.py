@@ -19,7 +19,7 @@ import functools
 import itertools
 import operator
 from collections import namedtuple
-from typing import Iterator, Optional, Sequence
+from collections.abc import Iterator, Sequence
 
 from .geometry import Subspace, SymplecticPoint, _check_same_space, _eliminate, enumerate_points, span
 from .pauli import point_word
@@ -138,7 +138,7 @@ def classify_set(points: Sequence[SymplecticPoint]) -> ClassificationLabel:
 
 def projective_closure(
     points: Sequence[SymplecticPoint],
-) -> tuple[Subspace, Optional[ClassificationLabel]]:
+) -> tuple[Subspace, ClassificationLabel | None]:
     """The span of the set and the classification of the complement.
 
     The complement is taken inside the span: the points of the closure

@@ -35,7 +35,7 @@ import argparse
 import json
 import sys
 from collections import Counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from collections.abc import Callable, Sequence
 
 from .classify import classify_set
 from .geometry import Subspace, SymplecticPoint, enumerate_points
@@ -71,15 +71,15 @@ from .search import (
 # configuration files
 
 
-def parse_config_text(text: str) -> List[Tuple[Optional[str], List[PauliObservable]]]:
+def parse_config_text(text: str) -> list[tuple[str | None, list[PauliObservable]]]:
     """Parse the block format into (name, observables) pairs.
 
     Raises ParseError with a line number on malformed input, including
     files with no contexts at all.
     """
-    blocks: List[Tuple[Optional[str], List[PauliObservable]]] = []
-    name: Optional[str] = None
-    members: List[PauliObservable] = []
+    blocks: list[tuple[str | None, list[PauliObservable]]] = []
+    name: str | None = None
+    members: list[PauliObservable] = []
     # The end of the text closes the last block like a blank line.
     for lineno, raw in enumerate(text.splitlines() + [""], start=1):
         line = raw.split("#", 1)[0].strip()
@@ -108,9 +108,7 @@ def parse_config_text(text: str) -> List[Tuple[Optional[str], List[PauliObservab
     return blocks
 
 
-def read_config_file(
-    path: str,
-) -> Tuple[MagicConfiguration, List[Optional[str]]]:
+def read_config_file(path: str) -> tuple[MagicConfiguration, list[str | None]]:
     # utf-8-sig drops a leading byte-order mark, as editors on Windows write one.
     with open(path, "r", encoding="utf-8-sig") as handle:
         text = handle.read()
@@ -122,14 +120,12 @@ def read_config_file(
     return config, names
 
 
-def _words(ctx: Context) -> List[str]:
+def _words(ctx: Context) -> list[str]:
     """The members of a context as words, in canonical order."""
     return [format_observable(o) for o in sorted_observables(ctx)]
 
 
-def _named_contexts(
-    contexts: Sequence[Context], names: Sequence[Optional[str]]
-) -> List[Dict]:
+def _named_contexts(contexts: Sequence[Context], names: Sequence[str | None]) -> list[dict]:
     """One ``name``/``observables`` entry per context."""
     return [
         {"name": name, "observables": _words(ctx)}
@@ -137,7 +133,7 @@ def _named_contexts(
     ]
 
 
-def _block_text(entries: Sequence[Dict]) -> str:
+def _block_text(entries: Sequence[dict]) -> str:
     """Named contexts in the block file format."""
     chunks = []
     for entry in entries:
@@ -150,11 +146,11 @@ def _block_text(entries: Sequence[Dict]) -> str:
 # reports
 
 
-def _context_entry(ctx: Context, name: Optional[str], sub: Subspace) -> Dict:
+def _context_entry(ctx: Context, name: str | None, sub: Subspace) -> dict:
     """One report entry: the context's words, sign and geometry; sub is
     its span.  An identity-only context spans the zero subspace (rank 0,
     no closure point) and has no classification."""
-    entry: Dict = {
+    entry: dict = {
         "name": name,
         "observables": _words(ctx),
         "sign": context_sign(ctx),
@@ -173,11 +169,9 @@ def _context_entry(ctx: Context, name: Optional[str], sub: Subspace) -> Dict:
     return entry
 
 
-def build_report(
-    config: MagicConfiguration, names: Sequence[Optional[str]]
-) -> Tuple[Dict, int]:
+def build_report(config: MagicConfiguration, names: Sequence[str | None]) -> tuple[dict, int]:
     """The full verification report and its exit code."""
-    report: Dict = {"qubits": config.n}
+    report: dict = {"qubits": config.n}
     report["contexts"] = list(map(_context_entry, config.contexts, names, config.context_spans()))
     report["multiplicities"] = {point_word(p): config.multiplicities[p] for p in config.universe}
     cert = parity_witness(config)
@@ -222,12 +216,12 @@ _VERDICT_TEXT = {
 }
 
 
-def _title(entry: Dict) -> str:
+def _title(entry: dict) -> str:
     """An entry's name (or "context") and its words."""
     return f"{entry['name'] or 'context'}: {' '.join(entry['observables'])}"
 
 
-def _entry_lines(entry: Dict, facts: str) -> List[str]:
+def _entry_lines(entry: dict, facts: str) -> list[str]:
     """A context entry as text: its words, the facts line, its detail
     and its closure."""
     out = [_title(entry), f"  {facts}"]
@@ -238,7 +232,7 @@ def _entry_lines(entry: Dict, facts: str) -> List[str]:
     return out
 
 
-def render_report(report: Dict) -> str:
+def render_report(report: dict) -> str:
     out = []
     out.append(f"qubits: {report['qubits']}")
     for entry in report["contexts"]:
@@ -273,7 +267,7 @@ def render_report(report: Dict) -> str:
 # commands: each returns (block, render, exit code); main prints the block
 # as JSON under --json and as render(block) otherwise.
 
-Outcome = Tuple[Dict, Callable[[Dict], str], int]
+Outcome = tuple[dict, Callable[[dict], str], int]
 
 
 def cmd_report(args: argparse.Namespace) -> Outcome:
@@ -286,7 +280,7 @@ def cmd_report(args: argparse.Namespace) -> Outcome:
     return report, render_report, code
 
 
-def _render_classify(block: Dict) -> str:
+def _render_classify(block: dict) -> str:
     out = []
     for entry in block["contexts"]:
         kind = entry["classification"] or "empty"
@@ -304,7 +298,7 @@ def cmd_classify(args: argparse.Namespace) -> Outcome:
     return block, _render_classify, 0
 
 
-def _render_complement(block: Dict) -> str:
+def _render_complement(block: dict) -> str:
     return f"# complement through {block['point']}\n" + _block_text(block["contexts"])
 
 
@@ -332,7 +326,7 @@ def _search_options(args: argparse.Namespace) -> SearchOptions:
     )
 
 
-def _render_census(block: Dict) -> str:
+def _render_census(block: dict) -> str:
     out = []
     for amb in block["ambients"]:
         out.append(f"ambient {' '.join(amb['basis'])}: {amb['count']} caps")
@@ -340,7 +334,7 @@ def _render_census(block: Dict) -> str:
     return "".join(line + "\n" for line in out)
 
 
-def _render_results(block: Dict) -> str:
+def _render_results(block: dict) -> str:
     out = [
         f"{block['count']} result(s) for shape {block['shape']} "
         f"at {block['qubits']} qubits"
@@ -435,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

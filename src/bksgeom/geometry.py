@@ -21,7 +21,7 @@ import functools
 import itertools
 import operator
 from collections import namedtuple
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 MAX_QUBITS = 16
 

@@ -23,8 +23,8 @@ import itertools
 import math
 import operator
 from collections import namedtuple
+from collections.abc import Iterable
 from functools import cached_property, reduce
-from typing import Dict, Iterable, Optional, Tuple
 
 from . import _kernels
 from .geometry import Subspace, SymplecticPoint, intersect, packed_form, span
@@ -73,10 +73,10 @@ class Context(namedtuple("Context", "observables")):
         return cls(tuple(parse_observable(w) for w in words))
 
     @property
-    def words(self) -> Tuple[str, ...]:
+    def words(self) -> tuple[str, ...]:
         return tuple(format_observable(o) for o in self.observables)
 
-    def points(self) -> Tuple[SymplecticPoint, ...]:
+    def points(self) -> tuple[SymplecticPoint, ...]:
         """Sign-stripped members as projective points, identities skipped."""
         return tuple(to_symplectic(o) for o in self.observables if not o.is_identity)
 
@@ -127,7 +127,7 @@ def observable_key(obs: PauliObservable) -> tuple[int, int]:
     return (obs.value, -obs.sign)
 
 
-def sorted_observables(ctx: Context) -> Tuple[PauliObservable, ...]:
+def sorted_observables(ctx: Context) -> tuple[PauliObservable, ...]:
     """Members in canonical order (see :func:`observable_key`)."""
     return tuple(sorted(ctx.observables, key=observable_key))
 
@@ -160,24 +160,24 @@ class MagicConfiguration(namedtuple("MagicConfiguration", "contexts")):
         return cls(tuple(Context.from_words(g) for g in groups))
 
     @property
-    def n(self) -> Optional[int]:
+    def n(self) -> int | None:
         return self.contexts[0].observables[0].n if self.contexts else None
 
     @cached_property
-    def universe(self) -> Tuple[SymplecticPoint, ...]:
+    def universe(self) -> tuple[SymplecticPoint, ...]:
         """Distinct points of the contexts, ascending: the sorted keys of :attr:`multiplicities`."""
         return tuple(sorted(self.multiplicities))
 
     @cached_property
-    def multiplicities(self) -> Dict[SymplecticPoint, int]:
+    def multiplicities(self) -> dict[SymplecticPoint, int]:
         """How many context slots each point occupies (occurrences counted)."""
-        counts: Dict[SymplecticPoint, int] = {}
+        counts: dict[SymplecticPoint, int] = {}
         for ctx in self.contexts:
             for p in ctx.points():
                 counts[p] = counts.get(p, 0) + 1
         return counts
 
-    def context_spans(self) -> Tuple[Subspace, ...]:
+    def context_spans(self) -> tuple[Subspace, ...]:
         """Span of each context's point set; the zero subspace for an
         identity-only context."""
         points = (ctx.points() for ctx in self.contexts)
@@ -211,7 +211,7 @@ class ContradictionCertificate(
 
 def exhaustive_nchv_check(
     config: MagicConfiguration,
-) -> tuple[bool, Optional[Dict[SymplecticPoint, int]]]:
+) -> tuple[bool, dict[SymplecticPoint, int] | None]:
     """Decide whether the k-point universe has a noncontextual assignment.
 
     Solves one GF(2) equation per context, on the universe points it
@@ -245,9 +245,7 @@ def parity_witness(config: MagicConfiguration) -> ContradictionCertificate:
     return ContradictionCertificate(sign_product, all_even, exists, witness)
 
 
-def intersection_lines(
-    config: MagicConfiguration,
-) -> Dict[Tuple[int, int], Subspace]:
+def intersection_lines(config: MagicConfiguration) -> dict[tuple[int, int], Subspace]:
     """Nonzero pairwise intersections of context spans.
 
     Keys are index pairs (i, j) with i < j into config.contexts; values
@@ -256,7 +254,7 @@ def intersection_lines(
     meets nothing and takes part in no pair.
     """
     spans = config.context_spans()
-    out: Dict[Tuple[int, int], Subspace] = {}
+    out: dict[tuple[int, int], Subspace] = {}
     for i in range(len(spans)):
         for j in range(i + 1, len(spans)):
             meet = intersect(spans[i], spans[j])

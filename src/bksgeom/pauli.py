@@ -16,7 +16,7 @@ implementation of that fold; it works on packed 2N-bit values.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Iterable
+from collections.abc import Iterable
 
 from .geometry import MAX_QUBITS, SymplecticPoint, _check_qubits, _check_same_space, packed_form
 

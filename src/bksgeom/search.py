@@ -19,8 +19,8 @@ with ``geometry._span_values``.
 
 Rectangle search walks 4-cliques of maximal totally isotropic subspaces
 through the anchor (pairwise meeting in lines) on packed integers.  One
-pass per anchor lists those Lagrangians, each once by its greedy basis,
-as RREF rows and point bitsets (see :func:`_lagrangians`).  A
+pass per anchor lists those Lagrangians by their greedy bases, as RREF
+rows and as the bitsets of their bases' perps (:func:`_lagrangians`).  A
 rectangle on a clique is fixed by one further point on each of the six
 meet lines: each cap is the anchor, its three picks and their sum.  The
 sign of a product of commuting words summing to zero is a quadratic
@@ -40,8 +40,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import namedtuple
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from collections.abc import Iterable, Iterator, Sequence
 
 from . import _kernels
 from .geometry import (
@@ -50,7 +51,6 @@ from .geometry import (
     _check_qubits,
     _span_values,
     packed_form,
-    reduce_row,
 )
 from .magic import Context, MagicConfiguration, check_twin_anchor
 from .pauli import PauliObservable, _from_packed, packed_product
@@ -83,7 +83,7 @@ class SearchOptions(
     def __new__(
         cls,
         qubit_count: int,
-        anchor_point: Optional[SymplecticPoint] = None,
+        anchor_point: SymplecticPoint | None = None,
         shape: str = "hc_rectangle",
         limit: int = 4,
         dedup: bool = True,
@@ -115,14 +115,14 @@ def _bits(mask: int) -> Iterator[int]:
 
 # A context as (packed value, sign) members: the search's working form
 # until a result is built as a MagicConfiguration.
-PackedContext = Tuple[Tuple[int, int], ...]
+PackedContext = tuple[tuple[int, int], ...]
 
 
-def _packed(config: MagicConfiguration) -> Tuple[PackedContext, ...]:
+def _packed(config: MagicConfiguration) -> tuple[PackedContext, ...]:
     return tuple(tuple((obs.value, obs.sign) for obs in ctx.observables) for ctx in config.contexts)
 
 
-def _canonical(contexts: Sequence[PackedContext]) -> Tuple[PackedContext, ...]:
+def _canonical(contexts: Sequence[PackedContext]) -> tuple[PackedContext, ...]:
     """Canonical order on packed contexts, which is also the dedup key.
 
     Members sort by :func:`observable_key` order, (value, -sign), and
@@ -139,7 +139,7 @@ def canonical_config(config: MagicConfiguration) -> MagicConfiguration:
 
 def _collect(
     n: int, limit: int, groups: Iterable[Sequence[Sequence[PackedContext]]]
-) -> List[MagicConfiguration]:
+) -> list[MagicConfiguration]:
     """The results of a stream of groups of packed contexts, up to limit.
 
     The stream stops at the first group that would pass the limit, so a
@@ -149,8 +149,8 @@ def _collect(
     by every result that holds it, so a context is validated once
     however many results share it.
     """
-    members: Dict[Tuple[int, int], PauliObservable] = {}
-    contexts: Dict[PackedContext, Context] = {}
+    members: dict[tuple[int, int], PauliObservable] = {}
+    contexts: dict[PackedContext, Context] = {}
 
     def new_context(packed: PackedContext) -> Context:
         for member in packed:
@@ -159,7 +159,7 @@ def _collect(
         made = contexts[packed] = Context(tuple(members[m] for m in packed))
         return made
 
-    results: List[MagicConfiguration] = []
+    results: list[MagicConfiguration] = []
     for group in groups:
         if len(results) + len(group) > limit:
             break
@@ -175,7 +175,7 @@ def _collect(
 # caps
 
 
-def enumerate_caps(subspace: Subspace) -> List[Tuple[SymplecticPoint, ...]]:
+def enumerate_caps(subspace: Subspace) -> list[tuple[SymplecticPoint, ...]]:
     """All elliptic quadrics (5 points, no 3 collinear, no 4 coplanar)
     inside a rank-4 subspace, in lexicographic point order: the images
     of the 168 caps of PG(3, 2) under the subspace's RREF basis, since a
@@ -191,18 +191,33 @@ def enumerate_caps(subspace: Subspace) -> List[Tuple[SymplecticPoint, ...]]:
     return [tuple(point[v] for v in cap) for cap in caps]
 
 
-def maximal_isotropic_through(point: SymplecticPoint) -> Tuple[Subspace, ...]:
-    """Every maximal totally isotropic subspace containing the point, as
-    Subspaces built from the cached listing of :func:`_lagrangians`."""
+def maximal_isotropic_through(point: SymplecticPoint) -> tuple[Subspace, ...]:
+    """Every maximal totally isotropic subspace containing the point, at
+    most six qubits, as Subspaces from the cached :func:`_lagrangians`."""
     return tuple(Subspace(point.n, rows) for rows in _lagrangians(point)[0])
 
 
+@functools.cache
+def _perp_tables(n: int) -> tuple[int, list[int], list[int]]:
+    """Bitsets over the 2^(2N) packed values for :func:`_lagrangians`: the
+    nonzero values, anti[v] (those anticommuting with v) and blocked[v]
+    (those, and those with v's top bit set).  top[b], the values with
+    bit b set, is the upper half of each run of 2^(b+1) values; anti is
+    linear in v, and unit vector i anticommutes with top[(i + N) mod 2N]."""
+    width = 2 * n
+    full = (1 << (1 << width)) - 1
+    top = [full // ((1 << (2 << b)) - 1) * ((1 << (1 << b)) - 1 << (1 << b)) for b in range(width)]
+    anti = _span_values([top[(i + n) % width] for i in range(width)])
+    return full ^ 1, anti, [0, *(anti[v] | top[v.bit_length() - 1] for v in range(1, 1 << width))]
+
+
 @functools.lru_cache(maxsize=8)
-def _lagrangians(point: SymplecticPoint) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]:
+def _lagrangians(point: SymplecticPoint) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """The sorted RREF rows of the Lagrangians through the point, and their point bitsets.
 
     These have rank N; through any point of W(2N-1, 2) there are
-    (2 + 1)(4 + 1)...(2^(N-1) + 1) = 1, 3, 15, 135 for N = 1..4.
+    (2 + 1)(4 + 1)...(2^(N-1) + 1) = 1, 3, 15, 135 for N = 1..4, and
+    4,922,775 at N = 7, so N is at most 6.
 
     Each one S is reached once, through its greedy basis p, q1 < q2 < ...,
     where qi is the least point of S outside span(p, q1 ... qi-1).  That
@@ -213,33 +228,35 @@ def _lagrangians(point: SymplecticPoint) -> Tuple[Tuple[Tuple[int, ...], ...], T
     earlier pick, and any picks meeting those conditions are the greedy
     basis of their span.  The candidates are a bitset over the 2^(2N)
     packed values.  A pick has a 0 at the earlier picks' top bits and a
-    higher one, so the RREF rows are the picks and p reduced by them.
+    higher one, so the RREF rows are the picks and p reduced by them
+    pick by pick, as ``reduce_row`` does.  A Lagrangian is its own perp,
+    so its bitset is the nonzero values outside the OR of anti on its basis.
     """
-    n, width, p = point.n, 2 * point.n, point.value
-    full = (1 << (1 << width)) - 1
-    # top[b]: the values with bit b set, the upper half of each run of
-    # 2^(b+1) values.  anti[v]: the values that anticommute with v.  It is
-    # linear in v, and unit vector i anticommutes with the values that
-    # have bit (i + N) mod 2N set, the X or Z bit of the same qubit.
-    top = [full // ((1 << (2 << b)) - 1) * ((1 << (1 << b)) - 1 << (1 << b)) for b in range(width)]
-    anti = _span_values([top[(i + n) % width] for i in range(width)])
-    stack = [((), [0, p], full & ~1 & ~anti[p] & ~top[p.bit_length() - 1])]
-    found: List[Tuple[Tuple[int, ...], int]] = []
+    n, p = point.n, point.value
+    if n > 6:
+        count = math.prod((1 << i) + 1 for i in range(1, n))
+        raise ValueError(f"{count} Lagrangians pass through a point of {n} qubits; at most 6 qubits")
+    if n == 1:
+        return ((p,),), (1 << p,)
+    nonzero, anti, blocked = _perp_tables(n)
+    stack = [((), p, anti[p], nonzero & ~blocked[p])]  # picks, p reduced, OR of anti, candidates
+    found = []
     while stack:
-        picks, values, candidates = stack.pop()
-        if len(picks) == n - 1:
-            rows = tuple(sorted((reduce_row(p, picks), *picks), reverse=True))
-            found.append((rows, sum(1 << v for v in values[1:])))
-            continue
+        picks, row, perp, candidates = stack.pop()
         last = len(picks) == n - 2  # the next pick completes a basis
-        for q in _bits(candidates):
-            narrowed = 0 if last else candidates & ~anti[q] & ~top[q.bit_length() - 1] & -(2 << q)
-            if narrowed or last:  # else a dead end
-                stack.append((picks + (q,), values + [v ^ q for v in values], narrowed))
+        while candidates:  # ascending, so what remains exceeds q
+            low = candidates & -candidates
+            candidates ^= low
+            q = low.bit_length() - 1
+            if last:
+                rows = tuple(sorted((*picks, q, min(row, row ^ q)), reverse=True))
+                found.append((rows, nonzero ^ (perp | anti[q])))
+            elif narrowed := candidates & ~blocked[q]:  # else a dead end
+                stack.append(((*picks, q), min(row, row ^ q), perp | anti[q], narrowed))
     return tuple(zip(*sorted(found)))
 
 
-def cap_census(options: SearchOptions) -> List[Tuple[Subspace, List[Tuple[SymplecticPoint, ...]]]]:
+def cap_census(options: SearchOptions) -> list[tuple[Subspace, list[tuple[SymplecticPoint, ...]]]]:
     """Elliptic quadric census for the ovoid_census shape.
 
     Two qubits: the single ambient PG(3, 2) is the whole space.  Four
@@ -274,7 +291,7 @@ def cap_census(options: SearchOptions) -> List[Tuple[Subspace, List[Tuple[Symple
 # mermin squares
 
 
-def find_mermin_squares(options: SearchOptions) -> List[MagicConfiguration]:
+def find_mermin_squares(options: SearchOptions) -> list[MagicConfiguration]:
     """All 3x3 observable grids at two qubits whose row and column
     contexts form a certified magic configuration.
 
@@ -305,7 +322,7 @@ def find_mermin_squares(options: SearchOptions) -> List[MagicConfiguration]:
                 grids.append((list(_bits(union)), rows + cols))
     anchor = options.anchor_point
 
-    def squares() -> Iterator[List[Tuple[PackedContext, ...]]]:
+    def squares() -> Iterator[list[tuple[PackedContext, ...]]]:
         for points, grid in sorted(grids):
             if anchor is not None and anchor.value not in points:
                 continue
@@ -358,17 +375,17 @@ class _RectangleWalk:
         self.anchor = anchor.value
         self.n = anchor.n
         self.lagrangians, self._point_masks = _lagrangians(anchor)
-        self._lines: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-        self._betas: Dict[int, int] = {}
-        self._masks: Dict[Tuple[int, int, int], int] = {}
-        self._caps: Dict[Tuple[int, int, int], PackedContext] = {}
-        self._images: Dict[PackedContext, PackedContext] = {}
+        self._lines: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._betas: dict[int, int] = {}
+        self._masks: dict[tuple[int, int, int], int] = {}
+        self._caps: dict[tuple[int, int, int], PackedContext] = {}
+        self._images: dict[PackedContext, PackedContext] = {}
 
     def pair_ok(self, i: int, j: int) -> bool:
         """Spans must meet in a line: exactly three common points."""
         return (self._point_masks[i] & self._point_masks[j]).bit_count() == 3
 
-    def cliques(self) -> Iterator[Tuple[int, int, int, int]]:
+    def cliques(self) -> Iterator[tuple[int, int, int, int]]:
         """Every 4-clique a < b < c < d of Lagrangians pairwise meeting
         in lines, in lexicographic order; b, c and d are drawn from lists
         of the later Lagrangians meeting every earlier pick in a line."""
@@ -382,7 +399,7 @@ class _RectangleWalk:
                         if ok(c, d):
                             yield a, b, c, d
 
-    def _line(self, i: int, j: int) -> Tuple[int, ...]:
+    def _line(self, i: int, j: int) -> tuple[int, ...]:
         """The two points other than the anchor of the line that
         Lagrangians i and j meet in (see :meth:`pair_ok`), memoised per walk."""
         line = self._lines.get((i, j))
@@ -397,7 +414,7 @@ class _RectangleWalk:
             self._betas[v] = int(packed_product(self.n, (self.anchor, v))[0] < 0)
         return self._betas[v]
 
-    def _mask(self, x: Tuple[int, ...], y: Tuple[int, ...], z: Tuple[int, ...]) -> int:
+    def _mask(self, x: tuple[int, ...], y: tuple[int, ...], z: tuple[int, ...]) -> int:
         """The 8-bit mask of the caps on three meet lines, memoised per walk:
         bit 4i + 2j + k is set when p, a = x[i], b = y[j], c = z[k] and
         p ^ a ^ b ^ c are distinct and nonzero with canonical sign +1.
@@ -429,7 +446,7 @@ class _RectangleWalk:
             self._caps[x, y, z] = tuple([(v, 1) for v in points])
         return self._caps[x, y, z]
 
-    def _affine(self, lines: Sequence[Tuple[int, ...]]) -> int:
+    def _affine(self, lines: Sequence[tuple[int, ...]]) -> int:
         """The 64-bit mask of the pick combos on a clique's six meet lines
         whose odd points have product sign -1.
 
@@ -446,7 +463,7 @@ class _RectangleWalk:
         linear = sum(self._beta(b) << a for a, b in enumerate(base))
         return _spread(_zeros(sign ^ 1, linear, self._beta(self.anchor), 4), 4)  # exponent 1
 
-    def rectangles(self, a: int, b: int, c: int, d: int) -> List[Tuple[PackedContext, ...]]:
+    def rectangles(self, a: int, b: int, c: int, d: int) -> list[tuple[PackedContext, ...]]:
         """Packed contexts of every rectangle on the 4-clique a < b < c < d,
         sorted by their four caps.
 
@@ -478,7 +495,7 @@ class _RectangleWalk:
         found.sort()
         return found
 
-    def keys(self, contexts: Tuple[PackedContext, ...]) -> List[Tuple[PackedContext, ...]]:
+    def keys(self, contexts: tuple[PackedContext, ...]) -> list[tuple[PackedContext, ...]]:
         """The :func:`_canonical` keys of a walk rectangle and of its twin
         (see :func:`magic.complement_config`): the anchor p stays, and a
         member (v, +1) becomes (p ^ v, -1 if beta(p, v) else +1).  Members
@@ -498,7 +515,7 @@ class _RectangleWalk:
 
 def _rectangle_groups(
     walk: _RectangleWalk, seed: bool, dedup: bool
-) -> Iterator[List[Tuple[PackedContext, ...]]]:
+) -> Iterator[list[tuple[PackedContext, ...]]]:
     """The result stream of a rectangle search, in groups not to be split.
 
     With seed set the built-in rectangle comes first, and under dedup its
@@ -531,7 +548,7 @@ def _rectangle_groups(
                 yield fresh
 
 
-def find_magic_rectangles(options: SearchOptions) -> List[MagicConfiguration]:
+def find_magic_rectangles(options: SearchOptions) -> list[MagicConfiguration]:
     """Anchored rectangle search at four qubits.
 
     Walks 4-cliques of maximal totally isotropic subspaces through the

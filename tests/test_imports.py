@@ -115,8 +115,21 @@ def test_cli_import_leaves_out_dataclasses_and_inspect(child_env):
     """Each CLI command runs in a fresh interpreter, so what importing
     the CLI pulls in is paid on every call.  ``-S`` keeps the host's
     ``site`` from importing these modules first and hiding a regression."""
-    code = "import sys, bksgeom.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    code = "import sys, bksgeom.cli; print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
     done = subprocess.run(
         [sys.executable, "-S", "-c", code], env=child_env, capture_output=True, text=True, check=True
     )
     assert done.stdout == "[]\n"
+
+
+def test_cli_import_builds_no_search_table(child_env):
+    """The Lagrangian listing and its per-qubit-count tables are built on
+    the first rectangle search, not at import, so light commands skip them."""
+    code = (
+        "import bksgeom.cli; from bksgeom import search; "
+        "print(search._perp_tables.cache_info().currsize, search._lagrangians.cache_info().currsize)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=child_env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "0 0\n"

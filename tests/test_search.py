@@ -251,6 +251,43 @@ def test_lagrangian_rows_and_bitsets_match_rref_and_span(n):
             assert mask >> value & 1
 
 
+# The anchors of the benchmark's rect_search pools that square to +identity.
+POOL_WORDS = [
+    "IXII", "ZXXZ", "XIIZ", "IZZI", "ZIXX", "XIXZ", "XZIX", "ZXXX",
+    "YYYY", "XYYX", "YIZY", "YZXY", "YIYI", "XYZY", "IYXY", "YYII",
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _commuting(n: int, row: int) -> frozenset:
+    return frozenset(v for v in range(1, 1 << 2 * n) if _commute(n, v, row))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lagrangian_bitsets_are_the_perps_of_their_rows(n):
+    """A Lagrangian is its own perp: each bitset is the set of nonzero
+    values that commute with every one of its RREF rows.  Every anchor
+    for n <= 3; the pool anchors and YIII at four qubits."""
+    points = [pt(w) for w in POOL_WORDS + ["YIII"]] if n == 4 else [
+        SymplecticPoint.from_value(n, v) for v in range(1, 1 << 2 * n)
+    ]
+    for point in points:
+        for rows, mask in zip(*search._lagrangians(point)):
+            assert set(_bits(mask)) == frozenset.intersection(*(_commuting(n, r) for r in rows))
+
+
+@pytest.mark.parametrize("n", [7, 16])
+def test_lagrangian_listing_refuses_seven_qubits_and_more(n):
+    """From seven qubits on the listing would hold millions of bitsets of
+    2^(2N) bits, so it raises with the count before building any table."""
+    count = math.prod((1 << i) + 1 for i in range(1, n))
+    built = search._perp_tables.cache_info().currsize
+    with pytest.raises(ValueError, match=f"^{count} Lagrangians pass through a point of {n} qubits"):
+        maximal_isotropic_through(SymplecticPoint.from_value(n, 1))
+    assert search._perp_tables.cache_info().currsize == built
+    assert count >= 4_922_775
+
+
 def test_cold_search_makes_no_rref_call_and_no_subspace(monkeypatch):
     """A cold seedless limit=4 search reads each Lagrangian's RREF rows
     off its greedy basis, never runs the elimination and never wraps
