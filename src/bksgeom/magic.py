@@ -23,7 +23,7 @@ import itertools
 import math
 import operator
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from functools import cached_property, reduce
 
 from . import _kernels
@@ -63,9 +63,9 @@ class Context(namedtuple("Context", "observables")):
     @cached_property
     def canonical_sign(self) -> int:
         """The product sign with every member stripped to its +1 form: the
-        sign a noncontextual assignment of the points is constrained
-        against.  It comes from :func:`validate_context` on the first
-        read; a context that fails raises ContextError on every read."""
+        sign a noncontextual assignment of the points is constrained against,
+        from :func:`validate_context` on the first read (or its value check in
+        a search's collector); a context that fails raises ContextError on every read."""
         return validate_context(self)
 
     @classmethod
@@ -87,8 +87,8 @@ def validate_context(ctx: Context) -> int:
 
     Every call checks again; :attr:`Context.canonical_sign` keeps the
     result, so a context is validated once per object, on its first use
-    by a configuration.  The checks run on packed values; words are
-    formatted only for the error message.
+    by a configuration.  Past the object checks, :func:`_values_sign`
+    checks the packed values; words are formatted only for the error message.
     """
     observables = ctx.observables
     if not observables:
@@ -99,7 +99,12 @@ def validate_context(ctx: Context) -> int:
             raise ContextError(
                 f"context mixes qubit counts ({n} and {obs.n})"
             )
-    values = [obs.value for obs in observables]
+    return _values_sign(n, [obs.value for obs in observables], observables)
+
+
+def _values_sign(n: int, values: Sequence[int], observables: Sequence[PauliObservable]) -> int:
+    """The canonical sign of members with these packed values, or ContextError unless
+    they pairwise commute with product +-I; ``observables`` only name culprits."""
     sign, rest = packed_product(n, values)
     # At product +-I the last member is the others' sum, so by bilinearity pairs among them decide.
     for i, j in itertools.combinations(range(len(values) - (not rest)), 2):
@@ -148,9 +153,10 @@ class MagicConfiguration(namedtuple("MagicConfiguration", "contexts")):
     # No __slots__: canonical_signs and the cached properties live in __dict__.
 
     def __new__(cls, contexts: Iterable[Context]) -> "MagicConfiguration":
-        self = tuple.__new__(cls, (tuple(contexts),))
-        self.canonical_signs = tuple(ctx.canonical_sign for ctx in self.contexts)
-        counts = {ctx.observables[0].n for ctx in self.contexts}
+        contexts = tuple(contexts)
+        self = tuple.__new__(cls, (contexts,))
+        self.canonical_signs = tuple([ctx.canonical_sign for ctx in contexts])
+        counts = {ctx.observables[0].n for ctx in contexts}
         if len(counts) > 1:
             raise ContextError(f"contexts mix qubit counts {sorted(counts)}")
         return self

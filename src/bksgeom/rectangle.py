@@ -13,6 +13,8 @@ exactly the same way.
 
 from __future__ import annotations
 
+import functools
+
 from .geometry import SymplecticPoint
 from .magic import MagicConfiguration
 from .pauli import parse_observable, to_symplectic
@@ -38,8 +40,9 @@ TWIN_CONTEXT_WORDS = (
 ANCHOR_WORD = "IXII"
 
 
+@functools.cache
 def anchor_point() -> SymplecticPoint:
-    """The perspectivity point IXII."""
+    """The perspectivity point IXII, parsed on the first call only."""
     return to_symplectic(parse_observable(ANCHOR_WORD))
 
 

@@ -22,18 +22,19 @@ through the anchor (pairwise meeting in lines) on packed integers.  One
 pass per anchor lists those Lagrangians by their greedy bases, as RREF
 rows and as the bitsets of their bases' perps (:func:`_lagrangians`).  A
 rectangle on a clique is fixed by one further point on each of the six
-meet lines: each cap is the anchor, its three picks and their sum.  The
-sign of a product of commuting words summing to zero is a quadratic
-form over GF(2) in the picks, so one product per three meet lines gives
-the 8-bit mask of their caps, and one per clique the 64-bit mask of
-negative affine contexts; the AND of these masks rejects most cliques.
-Every search is one stream of groups of packed contexts read up to
-``limit`` by one collector that builds a MagicConfiguration only for a
-result that enters the list, and each distinct member and context of
-one call once.  Under dedup a rectangle and its twin form one group, so
-truncation by ``limit`` never separates them (an odd limit stops one
-pair earlier); their keys live for one clique.  The ``seed`` flag puts
-the built-in pair first at IXII, and the walk skips it there.
+meet lines: each cap is the anchor, its three picks and their sum, so
+cliques with coplanar lines at their first Lagrangian are skipped.  The
+sign of a product of commuting words summing to zero is a quadratic form
+over GF(2) in the picks, so one product per three meet lines gives the
+8-bit mask of their caps, and one per clique the 64-bit mask of negative
+affine contexts; the AND of these masks rejects most cliques.  Each
+search is one stream of groups of context-id tuples read up to ``limit``
+by one collector, which builds a MagicConfiguration only for a result
+that enters the list and each distinct member and context once, and
+checks each point tuple once.  Under dedup a rectangle and its twin form
+one group, so truncation by ``limit`` never separates them (an odd limit
+stops one pair earlier); their keys live for one clique.  The ``seed``
+flag puts the built-in pair first at IXII; the walk skips it there.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .geometry import (
     _span_values,
     packed_form,
 )
-from .magic import Context, MagicConfiguration, check_twin_anchor
+from .magic import Context, MagicConfiguration, _values_sign, check_twin_anchor
 from .pauli import PauliObservable, _from_packed, packed_product
 from .rectangle import anchor_point, magic_rectangle, twin_rectangle
 
@@ -123,7 +124,7 @@ def _packed(config: MagicConfiguration) -> tuple[PackedContext, ...]:
 
 
 def _canonical(contexts: Sequence[PackedContext]) -> tuple[PackedContext, ...]:
-    """Canonical order on packed contexts, which is also the dedup key.
+    """Canonical order on packed contexts, which is also the dedup key order.
 
     Members sort by :func:`observable_key` order, (value, -sign), and
     contexts by their lists of member keys.
@@ -134,38 +135,42 @@ def _canonical(contexts: Sequence[PackedContext]) -> tuple[PackedContext, ...]:
 
 def canonical_config(config: MagicConfiguration) -> MagicConfiguration:
     """Sort members within contexts and contexts within the configuration."""
-    return _collect(config.n, 1, [[_canonical(_packed(config))]])[0]
+    return _collect(config.n, 1, [[range(len(config.contexts))]], _canonical(_packed(config)))[0]
 
 
 def _collect(
-    n: int, limit: int, groups: Iterable[Sequence[Sequence[PackedContext]]]
+    n: int, limit: int, groups: Iterable[Sequence[Sequence[int]]], table: Sequence[PackedContext]
 ) -> list[MagicConfiguration]:
-    """The results of a stream of groups of packed contexts, up to limit.
+    """Up to limit results of a stream of groups of tuples of ids into
+    ``table``, the packed contexts (it may grow as the stream runs).
 
     The stream stops at the first group that would pass the limit, so a
     group is never split.  A MagicConfiguration is built only for a
     result that enters the list, and each distinct (value, sign) member
-    and each distinct packed context becomes one immutable record, shared
-    by every result that holds it, so a context is validated once
-    however many results share it.
+    and each id becomes one record, shared by every result holding it.
+    A record's sign is :func:`magic._values_sign` of its values, run once per tuple.
     """
     members: dict[tuple[int, int], PauliObservable] = {}
-    contexts: dict[PackedContext, Context] = {}
+    records: dict[int, Context] = {}
+    signs: dict[tuple[int, ...], int] = {}
 
-    def new_context(packed: PackedContext) -> Context:
-        for member in packed:
-            if member not in members:
-                members[member] = _from_packed(n, *member)
-        made = contexts[packed] = Context(tuple(members[m] for m in packed))
+    def new_context(i: int) -> Context:
+        packed = table[i]
+        made = records[i] = Context(
+            [members.get(m) or members.setdefault(m, _from_packed(n, *m)) for m in packed]
+        )
+        values = tuple([v for v, _ in packed])
+        if values not in signs:
+            signs[values] = _values_sign(n, values, made.observables)
+        vars(made)["canonical_sign"] = signs[values]  # the slot Context.canonical_sign caches
         return made
 
     results: list[MagicConfiguration] = []
     for group in groups:
         if len(results) + len(group) > limit:
             break
-        for packed in group:  # one dict lookup per slot; a Context is truthy
-            slots = [contexts.get(ctx) or new_context(ctx) for ctx in packed]
-            results.append(MagicConfiguration(tuple(slots)))
+        for ids in group:  # one dict lookup per slot; a Context is truthy
+            results.append(MagicConfiguration([records.get(i) or new_context(i) for i in ids]))
         if len(results) == limit:
             break
     return results
@@ -303,7 +308,7 @@ def find_mermin_squares(options: SearchOptions) -> list[MagicConfiguration]:
     test is needed: each of the ten grids of W(3, 2) has an odd number
     of lines whose product is -I, so all ten are magic.
     Deterministic: grids come in ascending order of their point sets,
-    canonicalised under dedup.
+    canonicalised under dedup (sorted line indices, as lines ascend).
     """
     if options.shape != "mermin_square":
         raise ValueError("find_mermin_squares expects shape 'mermin_square'")
@@ -322,14 +327,13 @@ def find_mermin_squares(options: SearchOptions) -> list[MagicConfiguration]:
                 grids.append((list(_bits(union)), rows + cols))
     anchor = options.anchor_point
 
-    def squares() -> Iterator[list[tuple[PackedContext, ...]]]:
+    def squares() -> Iterator[list[tuple[int, ...]]]:
         for points, grid in sorted(grids):
             if anchor is not None and anchor.value not in points:
                 continue
-            contexts = tuple(tuple((v, 1) for v in lines[i]) for i in grid)
-            yield [_canonical(contexts) if options.dedup else contexts]
+            yield [tuple(sorted(grid)) if options.dedup else grid]
 
-    return _collect(n, options.limit, squares())
+    return _collect(n, options.limit, squares(), [tuple([(v, 1) for v in line]) for line in lines])
 
 
 # ---------------------------------------------------------------------------
@@ -375,28 +379,44 @@ class _RectangleWalk:
         self.anchor = anchor.value
         self.n = anchor.n
         self.lagrangians, self._point_masks = _lagrangians(anchor)
+        self.contexts: list[PackedContext] = []
+        self._ids: dict[PackedContext, int] = {}
         self._lines: dict[tuple[int, int], tuple[int, ...]] = {}
         self._betas: dict[int, int] = {}
         self._masks: dict[tuple[int, int, int], int] = {}
-        self._caps: dict[tuple[int, int, int], PackedContext] = {}
-        self._images: dict[PackedContext, PackedContext] = {}
+        self._caps: dict[tuple[int, int, int], int] = {}
+        self._images: dict[int, int] = {}
+
+    def intern(self, packed: PackedContext) -> int:
+        """The id of a packed context (cap, affine context or twin image),
+        its index in :attr:`contexts`, where it is added on first sight."""
+        made = self._ids.get(packed)
+        if made is None:
+            made = self._ids[packed] = len(self.contexts)
+            self.contexts.append(packed)
+        return made
 
     def pair_ok(self, i: int, j: int) -> bool:
         """Spans must meet in a line: exactly three common points."""
         return (self._point_masks[i] & self._point_masks[j]).bit_count() == 3
 
     def cliques(self) -> Iterator[tuple[int, int, int, int]]:
-        """Every 4-clique a < b < c < d of Lagrangians pairwise meeting
-        in lines, in lexicographic order; b, c and d are drawn from lists
-        of the later Lagrangians meeting every earlier pick in a line."""
-        ok, count = self.pair_ok, len(self.lagrangians)
+        """Every 4-clique a < b < c < d of Lagrangians pairwise meeting in
+        lines, in lexicographic order, but those where no cap at a holds
+        independent points of ab, ac and ad (see :meth:`_mask`): ac is ab, or
+        ad is ab, ac or their plane's third line through p and x_ab ^ x_ac.
+        ``top`` names a line through p by its larger further point; b, c and
+        d come from the later Lagrangians meeting each earlier pick in a line."""
+        ok, masks, count, p = self.pair_ok, self._point_masks, len(self.lagrangians), self.anchor
         for a in range(count):
             near_a = [b for b in range(a + 1, count) if ok(a, b)]
+            top = {b: (masks[a] & masks[b] ^ 1 << p).bit_length() - 1 for b in near_a}
             for i, b in enumerate(near_a, 1):
-                near_ab = [c for c in near_a[i:] if ok(b, c)]
+                near_ab = [c for c in near_a[i:] if top[c] != top[b] and ok(b, c)]
                 for j, c in enumerate(near_ab, 1):
+                    plane = (top[c], top[b] ^ top[c], top[b] ^ top[c] ^ p)
                     for d in near_ab[j:]:
-                        if ok(c, d):
+                        if top[d] not in plane and ok(c, d):
                             yield a, b, c, d
 
     def _line(self, i: int, j: int) -> tuple[int, ...]:
@@ -439,11 +459,11 @@ class _RectangleWalk:
             self._masks[key] = mask
         return mask
 
-    def _cap(self, x: int, y: int, z: int) -> PackedContext:
-        """The sorted packed cap {p, x, y, z, p ^ x ^ y ^ z}, signs +1, made once per walk."""
+    def _cap(self, x: int, y: int, z: int) -> int:
+        """The id of the sorted packed cap {p, x, y, z, p ^ x ^ y ^ z}, signs +1."""
         if (x, y, z) not in self._caps:
             points = sorted((self.anchor, x, y, z, self.anchor ^ x ^ y ^ z))
-            self._caps[x, y, z] = tuple([(v, 1) for v in points])
+            self._caps[x, y, z] = self.intern(tuple([(v, 1) for v in points]))
         return self._caps[x, y, z]
 
     def _affine(self, lines: Sequence[tuple[int, ...]]) -> int:
@@ -463,9 +483,9 @@ class _RectangleWalk:
         linear = sum(self._beta(b) << a for a, b in enumerate(base))
         return _spread(_zeros(sign ^ 1, linear, self._beta(self.anchor), 4), 4)  # exponent 1
 
-    def rectangles(self, a: int, b: int, c: int, d: int) -> list[tuple[PackedContext, ...]]:
-        """Packed contexts of every rectangle on the 4-clique a < b < c < d,
-        sorted by their four caps.
+    def rectangles(self, a: int, b: int, c: int, d: int) -> list[tuple[int, ...]]:
+        """Context ids of every rectangle on the 4-clique a < b < c < d,
+        sorted by the packed contexts of their four caps.
 
         Each pair of caps shares the anchor and one point of its pair's
         meet line, so one point on each of the six lines fixes the
@@ -490,32 +510,32 @@ class _RectangleWalk:
         for combo in _bits(combos & self._affine(lines)):
             picks = [line[combo >> i & 1] for i, line in enumerate(lines)]
             quads = [self._cap(picks[i], picks[j], picks[k]) for i, j, k in _CAP_SLOTS]
-            odd = sorted(p ^ picks[i] ^ picks[j] ^ picks[k] for i, j, k in _CAP_SLOTS)
-            found.append((*quads, tuple([(v, 1) for v in odd])))
-        found.sort()
+            odd = sorted([p ^ picks[i] ^ picks[j] ^ picks[k] for i, j, k in _CAP_SLOTS])
+            found.append((*quads, self.intern(tuple([(v, 1) for v in odd]))))
+        found.sort(key=lambda ids: [self.contexts[i] for i in ids])
         return found
 
-    def keys(self, contexts: tuple[PackedContext, ...]) -> list[tuple[PackedContext, ...]]:
-        """The :func:`_canonical` keys of a walk rectangle and of its twin
-        (see :func:`magic.complement_config`): the anchor p stays, and a
-        member (v, +1) becomes (p ^ v, -1 if beta(p, v) else +1).  Members
-        are distinct, ascend with sign +1, and a twin sign depends only on
-        the value: sorting suffices.  Each context's image is made once
-        per walk."""
-        p, twin = self.anchor, []
-        for ctx in contexts:
-            image = self._images.get(ctx)
+    def keys(self, ids: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """The :func:`_canonical` keys, as ids, of a walk rectangle and of
+        its twin (see :func:`magic.complement_config`): the anchor p stays,
+        and a member (v, +1) becomes (p ^ v, -1 if beta(p, v) else +1).
+        Members are distinct, ascend with sign +1, and a twin sign depends
+        only on the value: sorting by content suffices.  Each id's image is
+        made once per walk."""
+        p, contexts, twin = self.anchor, self.contexts, []
+        for i in ids:
+            image = self._images.get(i)
             if image is None:
-                image = self._images[ctx] = tuple(sorted(
-                    (v, 1) if v == p else (p ^ v, -1 if self._beta(v) else 1) for v, _ in ctx
-                ))
+                image = self._images[i] = self.intern(tuple(sorted(
+                    (v, 1) if v == p else (p ^ v, -1 if self._beta(v) else 1) for v, _ in contexts[i]
+                )))
             twin.append(image)
-        return [tuple(sorted(contexts)), tuple(sorted(twin))]
+        return [tuple(sorted(ids, key=contexts.__getitem__)), tuple(sorted(twin, key=contexts.__getitem__))]
 
 
 def _rectangle_groups(
     walk: _RectangleWalk, seed: bool, dedup: bool
-) -> Iterator[list[tuple[PackedContext, ...]]]:
+) -> Iterator[list[tuple[int, ...]]]:
     """The result stream of a rectangle search, in groups not to be split.
 
     With seed set the built-in rectangle comes first, and under dedup its
@@ -533,16 +553,17 @@ def _rectangle_groups(
         first = [_packed(magic_rectangle())]
         if dedup:
             first = [_canonical(first[0]), _canonical(_packed(twin_rectangle()))]
+        first = [tuple([walk.intern(ctx) for ctx in contexts]) for contexts in first]
         yield first
     for clique in walk.cliques():
         keys = None
-        for contexts in walk.rectangles(*clique):
+        for ids in walk.rectangles(*clique):
             if not dedup:
-                yield [contexts]
+                yield [ids]
                 continue
             if keys is None:  # most cliques carry no rectangle
                 keys = set(first)
-            fresh = [key for key in walk.keys(contexts) if key not in keys]
+            fresh = [key for key in walk.keys(ids) if key not in keys]
             keys.update(fresh)
             if fresh:
                 yield fresh
@@ -565,5 +586,5 @@ def find_magic_rectangles(options: SearchOptions) -> list[MagicConfiguration]:
     if options.dedup:  # the twins need an anchor that squares to +identity
         check_twin_anchor(anchor)
     seed = options.seed and anchor == anchor_point()
-    groups = _rectangle_groups(_RectangleWalk(anchor), seed, options.dedup)
-    return _collect(anchor.n, options.limit, groups)
+    walk = _RectangleWalk(anchor)
+    return _collect(anchor.n, options.limit, _rectangle_groups(walk, seed, options.dedup), walk.contexts)

@@ -26,9 +26,9 @@ from bksgeom.classify import (
     ClassificationLabel,
 )
 from bksgeom.geometry import Subspace, SymplecticPoint, packed_form, reduce_row
-from bksgeom.magic import ContextError, MagicConfiguration
-from bksgeom.pauli import packed_product, parse_observable, point_word, to_symplectic
-from bksgeom.search import SearchOptions, _canonical, _collect
+from bksgeom.magic import Context, ContextError, MagicConfiguration
+from bksgeom.pauli import _from_packed, packed_product, parse_observable, point_word, to_symplectic
+from bksgeom.search import SearchOptions, _canonical
 
 
 def pt(word: str) -> SymplecticPoint:
@@ -238,9 +238,12 @@ def partition_mermin_squares(options: SearchOptions) -> list:
                 if negatives % 2 == 0:
                     continue
                 contexts = tuple(tuple((v, 1) for v in line) for line in grid)
-                yield [_canonical(contexts) if options.dedup else contexts]
+                yield _canonical(contexts) if options.dedup else contexts
 
-    return _collect(n, options.limit, squares())
+    return [
+        MagicConfiguration(tuple(Context(tuple(_from_packed(n, *m) for m in ctx)) for ctx in contexts))
+        for contexts in itertools.islice(squares(), options.limit)
+    ]
 
 
 def packed_contexts(config: MagicConfiguration) -> tuple:

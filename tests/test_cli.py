@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import bksgeom.cli
 import bksgeom.magic
+import bksgeom.rectangle
 from bksgeom.classify import classify_set
 from bksgeom.cli import (
     _block_text,
@@ -514,6 +515,24 @@ def test_search_rectangle_finds_builtin_pair(capsys):
     ]
     assert frozenset(frozenset(w) for w in CONTEXT_WORDS) == sets[0]
     assert frozenset(frozenset(w) for w in TWIN_CONTEXT_WORDS) == sets[1]
+
+
+def test_search_rectangle_parses_the_default_anchor_once(monkeypatch, capsys):
+    """A rectangle search at the default anchor parses IXII on the first
+    call of anchor_point only, though the command and the search both
+    read it, the search twice."""
+    rectangle = bksgeom.rectangle
+    parsed = []
+    parse = rectangle.parse_observable
+    monkeypatch.setattr(rectangle, "parse_observable", lambda word: parsed.append(word) or parse(word))
+    rectangle.anchor_point.cache_clear()
+    try:
+        for _ in range(2):
+            assert main(["search", "--qubits", "4", "--shape", "hc_rectangle", "--limit", "2"]) == 0
+            assert capsys.readouterr().out.startswith("2 result(s) for shape hc_rectangle")
+    finally:
+        rectangle.anchor_point.cache_clear()
+    assert parsed == ["IXII"]
 
 
 def test_search_rectangle_no_dedup_emits_seed_verbatim(capsys):

@@ -595,6 +595,11 @@ def test_compat_buckets_match_the_popcount_definition(word):
     assert pairs == 3780
 
 
+def _unpack(walk, ids) -> tuple:
+    """The packed contexts of a tuple of the walk's context ids."""
+    return tuple(walk.contexts[i] for i in ids)
+
+
 def _cliques(walk) -> list:
     """Every 4-clique of Lagrangians pairwise meeting in lines, in order."""
     count = len(walk.lagrangians)
@@ -616,17 +621,35 @@ def _cliques(walk) -> list:
     "word, rectangles", [("IXII", 2560), ("YYYY", 2776), ("XIIZ", 3072), ("YIII", 3156)]
 )
 def test_six_line_walk_matches_the_reference_walk(word, rectangles):
-    """rectangles() on every 40th 4-clique against the reference walk,
-    order included.  At the odd-Y anchor YIII the cap signs carry the
+    """The walk's cliques are the reference 4-cliques a < b < c < d whose
+    meet lines ab, ac and ad hold, with the anchor, four independent
+    points (the cap at a needs them), in order; every clique left out
+    carries no rectangle under the reference walk; and rectangles() on
+    every 40th reference clique matches the reference walk, order
+    included.  At the odd-Y anchor YIII the cap signs carry the
     quadratic term q(p) (ij + ik + jk) in the picks (see
     _RectangleWalk._mask)."""
     walk, reference = _RectangleWalk(pt(word)), _ReferenceWalk(pt(word))
-    cliques = _cliques(walk)
-    assert len(cliques) == 137970
-    assert list(walk.cliques()) == cliques
+    p, masks = walk.anchor, reference._point_masks
+
+    @functools.lru_cache(maxsize=None)
+    def independent(x: int, y: int, z: int) -> bool:
+        return len(rref((p, x, y, z))) == 4
+
+    def further(i: int, j: int) -> int:  # a point of the meet line other than the anchor
+        return (masks[i] & masks[j] ^ 1 << p).bit_length() - 1
+
+    cliques = _cliques(reference)
+    kept, dropped = [], []
+    for a, b, c, d in cliques:
+        lines = further(a, b), further(a, c), further(a, d)
+        (kept if independent(*lines) else dropped).append((a, b, c, d))
+    assert list(walk.cliques()) == kept
+    assert kept and dropped
+    assert not any(True for clique in dropped for _ in reference.rectangles(*clique))
     found = 0
     for clique in cliques[::40]:
-        got = list(walk.rectangles(*clique))
+        got = [_unpack(walk, ids) for ids in walk.rectangles(*clique)]
         assert got == list(reference.rectangles(*clique)), clique
         found += len(got)
     assert found == rectangles
@@ -660,7 +683,7 @@ def test_pick_masks_match_the_cap_on_every_pick(word, start):
     on every meet line (k -> k ^ 63)."""
     walk = _RectangleWalk(pt(word))
     carried = negative = 0
-    for clique in itertools.islice(walk.cliques(), start, None, 1000):
+    for clique in _cliques(walk)[start::1000]:
         lines = [walk._line(i, j) for i, j in itertools.combinations(clique, 2)]
         combos = (1 << 64) - 1
         for cap, slots in enumerate(search._CAP_SLOTS):
@@ -670,7 +693,7 @@ def test_pick_masks_match_the_cap_on_every_pick(word, start):
             caps = {4 * i + 2 * j + k: _reference_cap(walk, x[i], y[j], z[k]) for i, j, k in triples}
             assert mask == sum(1 << t for t, cap_t in caps.items() if cap_t)
             for t in _bits(mask):
-                assert walk._cap(x[t >> 2], y[t >> 1 & 1], z[t & 1]) == caps[t]
+                assert walk.contexts[walk._cap(x[t >> 2], y[t >> 1 & 1], z[t & 1])] == caps[t]
             spread = search._spread(mask, cap)
             assert spread == sum(
                 1 << combo
@@ -692,7 +715,7 @@ def test_pick_masks_match_the_cap_on_every_pick(word, start):
 
 
 @pytest.mark.parametrize(
-    "word, products, cliques", [("IXII", 388, 714), ("YYYY", 756, 1082), ("XIIZ", 251, 153)]
+    "word, products, cliques", [("IXII", 388, 328), ("YYYY", 756, 505), ("XIIZ", 251, 60)]
 )
 def test_warm_search_rejects_cliques_before_building_caps(monkeypatch, word, products, cliques):
     """A warm limit=1000 call makes one product per pick mask, one per
@@ -701,7 +724,11 @@ def test_warm_search_rejects_cliques_before_building_caps(monkeypatch, word, pro
     empty AND.  Testing each of the eight picks of a mask, and each
     surviving combo's affine context, made 4,192, 4,772 and 1,792
     products on the same cliques.  The twin signs of the dedup keys are
-    beta values too, and add the few that no mask or affine context read."""
+    beta values too, and add the few that no mask or affine context read.
+    The walk no longer hands rectangles() the cliques whose cap-a lines
+    lie in one plane (386, 577 and 93 of the 714, 1,082 and 153 it was
+    handed before); their cap-a mask was 0 before any product, so the
+    product counts stand."""
     options = rect_options(anchor_point=pt(word), limit=1000)
     find_magic_rectangles(options)
     calls = {"packed_product": 0, "rectangles": 0}
@@ -757,7 +784,7 @@ def test_cap_matches_the_shape_and_sign_oracles(data, word):
         t = sum(line.index(q) << 2 - s for s, (q, line) in enumerate(zip(picks, lines)))
         assert walk._mask(*lines) >> t & 1 == (expected is not None)
         if expected:
-            assert walk._cap(*picks) == expected
+            assert walk.contexts[walk._cap(*picks)] == expected
 
 
 def test_quadrics_are_the_anchor_and_one_point_per_meet_line():
@@ -1095,6 +1122,12 @@ EMISSION_DIGESTS = {
     "YYYY limit 1000": ("4a819d3977fe8e54a405", dict(anchor_point=pt("YYYY"), limit=1000)),
     "IXII raw limit 100": ("b40ff301867b035448ec", dict(anchor_point=pt("IXII"), limit=100, dedup=False)),
     "seeded limit 10": ("0cc9d34e399f153727e5", dict(seed=True, limit=10)),
+    # Recorded before cliques that cannot hold cap a were skipped and
+    # results were keyed by interned context ids: pruning at an odd-Y
+    # anchor, the slowest no-Y pool anchor under dedup, and a raw even-Y run.
+    "YIII raw limit 1000": ("3d246e4cc118785bf0fd", dict(anchor_point=pt("YIII"), limit=1000, dedup=False)),
+    "ZXXZ limit 1000": ("5c533ca957957ca961b6", dict(anchor_point=pt("ZXXZ"), limit=1000)),
+    "YYYY raw limit 300": ("2c22f603b0342f779d30", dict(anchor_point=pt("YYYY"), limit=300, dedup=False)),
 }
 
 
@@ -1107,20 +1140,44 @@ def test_emission_matches_recorded_digest(name):
 
 
 def test_warm_search_builds_and_validates_each_distinct_context_once(monkeypatch):
+    """At YYYY the 1,000 results hold 1,372 signed contexts on 716 point
+    tuples: the value check runs once per tuple, each signed context and
+    each member is one shared record, and every context's sign is the
+    one validate_context gives it."""
     options = rect_options(anchor_point=pt("YYYY"), limit=1000)
     find_magic_rectangles(options)
     calls = []
-    validate = magic.validate_context
-    monkeypatch.setattr(magic, "validate_context", lambda ctx: calls.append(ctx) or validate(ctx))
+    check = magic._values_sign
+    monkeypatch.setattr(search, "_values_sign", lambda n, values, obs: calls.append(values) or check(n, values, obs))
     results = find_magic_rectangles(options)
     assert len(results) == 1000
-    assert len(calls) == len({ctx for config in results for ctx in packed_contexts(config)}) == 1372
-    members = {}
+    records, members = {}, {}
     for config in results:
         for ctx in config.contexts:
+            assert records.setdefault(tuple((o.value, o.sign) for o in ctx.observables), ctx) is ctx
             for obs in ctx.observables:
                 assert members.setdefault((obs.value, obs.sign), obs) is obs
-    assert len(members) == 183
+    assert len(records) == 1372 and len(members) == 183
+    assert len(calls) == len(set(calls)) == len({tuple(v for v, _ in ctx) for ctx in records}) == 716
+    for ctx in records.values():
+        assert ctx.canonical_sign == magic.validate_context(Context(ctx.observables))
+
+
+def test_search_raises_on_a_walk_context_that_fails_the_value_check(monkeypatch):
+    """No context of a search skips the check: a walk that emits a
+    rectangle with two anticommuting members fails as validate_context
+    fails on it."""
+    bad = ((pt("XIII").value, 1), (pt("ZIII").value, 1), (pt("YIII").value, -1))
+
+    def rectangles(walk, *clique):
+        return [(walk.intern(bad),)]
+
+    monkeypatch.setattr(_RectangleWalk, "rectangles", rectangles)
+    for dedup in (True, False):
+        with pytest.raises(ContextError, match="^observables XIII and ZIII do not commute$"):
+            find_magic_rectangles(rect_options(limit=4, dedup=dedup))
+    with pytest.raises(ContextError, match="^observables XIII and ZIII do not commute$"):
+        magic.validate_context(Context.from_words(("XIII", "ZIII", "-YIII")))
 
 
 EVEN_Y_WORDS = sorted(
@@ -1176,7 +1233,8 @@ def test_twins_lie_on_the_clique_of_their_rectangle(word, start):
 
     found = 0
     for clique in _cliques(walk)[start::40]:
-        for contexts in walk.rectangles(*clique):
+        for ids in walk.rectangles(*clique):
+            contexts = _unpack(walk, ids)
             twin = twin_contexts(4, point.value, contexts)
             assert spans(twin) == spans(contexts) == list(clique)
             assert twin_contexts(4, point.value, twin) == contexts
@@ -1197,9 +1255,11 @@ def test_walk_keys_equal_the_canonical_keys(word, start):
     walk = _RectangleWalk(point)
     found = 0
     for clique in _cliques(walk)[start::40]:
-        for contexts in walk.rectangles(*clique):
+        for ids in walk.rectangles(*clique):
+            contexts = _unpack(walk, ids)
             twin = twin_contexts(4, point.value, contexts)
-            assert walk.keys(contexts) == [search._canonical(contexts), search._canonical(twin)]
+            keys = [_unpack(walk, key) for key in walk.keys(ids)]
+            assert keys == [search._canonical(contexts), search._canonical(twin)]
             found += 1
     assert found > 0
 
@@ -1232,7 +1292,7 @@ def test_raw_search_at_an_odd_y_anchor_returns_walk_rectangles():
     results = find_magic_rectangles(rect_options(anchor_point=point, limit=6, dedup=False))
     walk = _RectangleWalk(point)
     expected = list(itertools.islice(
-        (r for clique in walk.cliques() for r in walk.rectangles(*clique)), 6
+        (_unpack(walk, r) for clique in walk.cliques() for r in walk.rectangles(*clique)), 6
     ))
     assert len(results) == 6
     assert [packed_contexts(config) for config in results] == expected
