@@ -34,7 +34,8 @@ that enters the list and each distinct member and context once, and
 checks each point tuple once.  Under dedup a rectangle and its twin form
 one group, so truncation by ``limit`` never separates them (an odd limit
 stops one pair earlier); their keys live for one clique.  The ``seed``
-flag puts the built-in pair first at IXII; the walk skips it there.
+flag puts the built-in rectangle first at IXII; under dedup its twin
+follows and the walk skips the pair, without dedup the walk repeats it.
 """
 
 from __future__ import annotations
@@ -53,9 +54,9 @@ from .geometry import (
     _span_values,
     packed_form,
 )
-from .magic import Context, MagicConfiguration, _values_sign, check_twin_anchor
+from .magic import Context, MagicConfiguration, _values_sign, check_twin_anchor, observable_key, sorted_observables
 from .pauli import PauliObservable, _from_packed, packed_product
-from .rectangle import anchor_point, magic_rectangle, twin_rectangle
+from .rectangle import anchor_point, magic_rectangle
 
 SHAPES = ("mermin_square", "hc_rectangle", "ovoid_census")
 
@@ -75,8 +76,8 @@ class SearchOptions(
         dedup: canonicalise results and drop repeats; rectangles come
             with their twins only in this mode.
         seed: emit the built-in rectangle (and under dedup its twin)
-            before the systematic walk, which then skips them; rectangle
-            search at the built-in anchor IXII only, ignored elsewhere.
+            before the systematic walk, which skips them under dedup
+            only; rectangle search at IXII only, ignored elsewhere.
     """
 
     __slots__ = ()
@@ -119,23 +120,12 @@ def _bits(mask: int) -> Iterator[int]:
 PackedContext = tuple[tuple[int, int], ...]
 
 
-def _packed(config: MagicConfiguration) -> tuple[PackedContext, ...]:
-    return tuple(tuple((obs.value, obs.sign) for obs in ctx.observables) for ctx in config.contexts)
-
-
-def _canonical(contexts: Sequence[PackedContext]) -> tuple[PackedContext, ...]:
-    """Canonical order on packed contexts, which is also the dedup key order.
-
-    Members sort by :func:`observable_key` order, (value, -sign), and
-    contexts by their lists of member keys.
-    """
-    keyed = sorted(tuple(sorted((v, -s) for v, s in ctx)) for ctx in contexts)
-    return tuple(tuple((v, -k) for v, k in ctx) for ctx in keyed)
-
-
 def canonical_config(config: MagicConfiguration) -> MagicConfiguration:
-    """Sort members within contexts and contexts within the configuration."""
-    return _collect(config.n, 1, [[range(len(config.contexts))]], _canonical(_packed(config)))[0]
+    """Sort members within contexts (:func:`magic.sorted_observables`) and
+    contexts by their lists of :func:`magic.observable_key` values."""
+    members = [sorted_observables(ctx) for ctx in config.contexts]
+    members.sort(key=lambda obs: [observable_key(o) for o in obs])
+    return MagicConfiguration([Context(obs) for obs in members])
 
 
 def _collect(
@@ -516,12 +506,12 @@ class _RectangleWalk:
         return found
 
     def keys(self, ids: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """The :func:`_canonical` keys, as ids, of a walk rectangle and of
-        its twin (see :func:`magic.complement_config`): the anchor p stays,
-        and a member (v, +1) becomes (p ^ v, -1 if beta(p, v) else +1).
-        Members are distinct, ascend with sign +1, and a twin sign depends
-        only on the value: sorting by content suffices.  Each id's image is
-        made once per walk."""
+        """The canonical keys (see :func:`canonical_config`), as ids, of a
+        rectangle whose members ascend with sign +1 and of its twin (see
+        :func:`magic.complement_config`): the anchor p stays, and a member
+        (v, +1) becomes (p ^ v, -1 if beta(p, v) else +1).  Members are
+        distinct, and a twin sign depends only on the value: sorting by
+        content suffices.  Each id's image is made once per walk."""
         p, contexts, twin = self.anchor, self.contexts, []
         for i in ids:
             image = self._images.get(i)
@@ -538,22 +528,22 @@ def _rectangle_groups(
 ) -> Iterator[list[tuple[int, ...]]]:
     """The result stream of a rectangle search, in groups not to be split.
 
-    With seed set the built-in rectangle comes first, and under dedup its
-    twin.  Without dedup each rectangle of the walk is a group of its
-    own, as yielded.  Under dedup each gives the new ones of its and its
-    twin's keys (:meth:`_RectangleWalk.keys`; the built-in pair's by
-    :func:`_canonical`).  A key set that lives for one clique suffices:
-    each cap {p, x, y, z, p^x^y^z} spans its Lagrangian, and so does the
-    twin cap {p, p^x, p^y, p^z, x^y^z}, so every key made on a clique has
-    that clique's four cap spans.  The built-in pair's two keys lie on a
-    clique the walk reaches, and join every clique's set.
+    With seed set the built-in rectangle comes first, verbatim without
+    dedup (the walk repeats it), else with its twin.  Without dedup each
+    rectangle of the walk is a group of its own, as yielded.  Under dedup
+    each gives the new ones of its and its twin's keys
+    (:meth:`_RectangleWalk.keys`, the built-in pair's too).  A key set
+    that lives for one clique suffices: each cap {p, x, y, z, p^x^y^z}
+    spans its Lagrangian, and so does the twin cap {p, p^x, p^y, p^z,
+    x^y^z}, so every key made on a clique has that clique's four cap
+    spans.  The built-in pair's two keys lie on a clique the walk
+    reaches, and join every clique's set.
     """
     first = []
     if seed:
-        first = [_packed(magic_rectangle())]
-        if dedup:
-            first = [_canonical(first[0]), _canonical(_packed(twin_rectangle()))]
-        first = [tuple([walk.intern(ctx) for ctx in contexts]) for contexts in first]
+        contexts = [sorted_observables(ctx) if dedup else ctx.observables for ctx in magic_rectangle().contexts]
+        ids = tuple([walk.intern(tuple([(obs.value, obs.sign) for obs in ctx])) for ctx in contexts])
+        first = walk.keys(ids) if dedup else [ids]
         yield first
     for clique in walk.cliques():
         keys = None

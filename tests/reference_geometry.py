@@ -5,8 +5,8 @@ implementations of what ``geometry._eliminate`` computes (reduced row
 echelon form, the Zassenhaus intersection, the valuation solve by
 Gauss-Jordan elimination with lowest-bit pivots and by an ascending
 scan, and the shape witnesses of ``classify_set`` by brute-force loops),
-the Mermin-square search by line partitions of nine points, and the twin
-map on contexts in packed (value, sign) form."""
+the Mermin-square search by line partitions of nine points, and the
+canonical order and the twin map on contexts in packed (value, sign) form."""
 
 import functools
 import itertools
@@ -28,7 +28,7 @@ from bksgeom.classify import (
 from bksgeom.geometry import Subspace, SymplecticPoint, packed_form, reduce_row
 from bksgeom.magic import Context, ContextError, MagicConfiguration
 from bksgeom.pauli import _from_packed, packed_product, parse_observable, point_word, to_symplectic
-from bksgeom.search import SearchOptions, _canonical
+from bksgeom.search import SearchOptions
 
 
 def pt(word: str) -> SymplecticPoint:
@@ -238,7 +238,7 @@ def partition_mermin_squares(options: SearchOptions) -> list:
                 if negatives % 2 == 0:
                     continue
                 contexts = tuple(tuple((v, 1) for v in line) for line in grid)
-                yield _canonical(contexts) if options.dedup else contexts
+                yield canonical_contexts(contexts) if options.dedup else contexts
 
     return [
         MagicConfiguration(tuple(Context(tuple(_from_packed(n, *m) for m in ctx)) for ctx in contexts))
@@ -252,6 +252,13 @@ def packed_contexts(config: MagicConfiguration) -> tuple:
         tuple((obs.value, obs.sign) for obs in ctx.observables)
         for ctx in config.contexts
     )
+
+
+def canonical_contexts(contexts) -> tuple:
+    """The canonical order on packed contexts: members by (value, -sign),
+    so + before - on one value, and contexts by their lists of member keys."""
+    keyed = sorted(tuple(sorted((v, -s) for v, s in ctx)) for ctx in contexts)
+    return tuple(tuple((v, -k) for v, k in ctx) for ctx in keyed)
 
 
 def twin_contexts(n: int, anchor: int, contexts) -> tuple:

@@ -33,10 +33,8 @@ from bksgeom.magic import (
     ContextError,
     MagicConfiguration,
     complement_config,
-    observable_key,
     parity_witness,
     shared_point,
-    sorted_observables,
 )
 from bksgeom.pauli import (
     _from_packed,
@@ -61,6 +59,7 @@ from bksgeom.search import (
 )
 
 from reference_geometry import (
+    canonical_contexts,
     packed_contexts,
     partition_mermin_squares,
     pt,
@@ -985,20 +984,20 @@ def verify_rectangle(config: MagicConfiguration, anchor: SymplecticPoint) -> Non
 
 
 def test_canonical_config_matches_the_object_level_order():
-    """Members by observable_key, then contexts by their key lists, as
-    sorted on observables; a word with both signs decides the context
-    order in the first configuration."""
+    """Members by observable_key, (value, -sign), then contexts by their
+    key lists, as the packed oracle canonical_contexts sorts them; a word
+    with both signs decides the context order in the first configuration."""
     configs = [
-        MagicConfiguration.from_words([("XX", "-XX"), ("-XX", "-XX"), ("-II",)]),
+        MagicConfiguration.from_words([("-XX", "-XX"), ("XX", "-XX"), ("-II",)]),
         MagicConfiguration.from_words([("-ZI", "IZ", "-ZZ"), ("ZZ", "-ZZ"), ("ZI", "-IZ", "-ZZ")]),
     ]
     raw = find_magic_rectangles(rect_options(anchor_point=pt("YYYY"), limit=20, dedup=False))
     configs += raw + [complement_config(config, pt("YYYY")) for config in raw]
     configs += [magic_rectangle(), twin_rectangle()]
     for config in configs:
-        contexts = [Context(sorted_observables(ctx)) for ctx in config.contexts]
-        contexts.sort(key=lambda ctx: [observable_key(o) for o in ctx.observables])
-        assert canonical_config(config) == MagicConfiguration(tuple(contexts))
+        canonical = canonical_config(config)
+        assert packed_contexts(canonical) == canonical_contexts(packed_contexts(config))
+        assert canonical.n == config.n
 
 
 def test_seeded_search_finds_original_and_twin():
@@ -1035,9 +1034,12 @@ def test_seed_puts_the_builtin_pair_before_the_walk():
 
 
 def test_seeded_raw_stream_is_the_seed_then_the_raw_walk():
+    """Without dedup the walk does not skip the seed: it repeats the
+    built-in rectangle, in the walk's member order, as result 7170."""
     seeded = find_magic_rectangles(rect_options(seed=True, dedup=False, limit=7200))
     walk = find_magic_rectangles(rect_options(dedup=False, limit=7199))
     assert seeded == [magic_rectangle()] + walk
+    assert canonical_config(seeded[7169]) == canonical_config(magic_rectangle())
 
 
 @pytest.mark.parametrize("word", ["ZIII", "YYYY"])
@@ -1249,8 +1251,9 @@ def test_twins_lie_on_the_clique_of_their_rectangle(word, start):
 @example(word="XIIZ", start=0)
 def test_walk_keys_equal_the_canonical_keys(word, start):
     """On every 40th clique, the walk's keys of each rectangle and of its
-    twin, with twin signs read from its beta values, are the _canonical
-    keys of the rectangle and of the reference twin_contexts image."""
+    twin, with twin signs read from its beta values, are the
+    canonical_contexts keys of the rectangle and of the reference
+    twin_contexts image."""
     point = pt(word)
     walk = _RectangleWalk(point)
     found = 0
@@ -1259,7 +1262,7 @@ def test_walk_keys_equal_the_canonical_keys(word, start):
             contexts = _unpack(walk, ids)
             twin = twin_contexts(4, point.value, contexts)
             keys = [_unpack(walk, key) for key in walk.keys(ids)]
-            assert keys == [search._canonical(contexts), search._canonical(twin)]
+            assert keys == [canonical_contexts(contexts), canonical_contexts(twin)]
             found += 1
     assert found > 0
 
