@@ -6,91 +6,47 @@ classification (:mod:`bksgeom.classify`), and Bell-Kochen-Specker
 verification and search (:mod:`bksgeom.magic`, :mod:`bksgeom.search`),
 with the built-in four-qubit rectangle in :mod:`bksgeom.rectangle` and a
 command line front end in :mod:`bksgeom.cli`.
-"""
 
-from .classify import ClassificationLabel, classify_set, is_cap, projective_closure
-from .geometry import (
-    Subspace,
-    SymplecticPoint,
-    contains,
-    enumerate_points,
-    intersect,
-    is_totally_isotropic,
-    span,
-    symplectic_form,
-    third_point,
-)
-from .magic import (
-    Context,
-    ContextError,
-    ContradictionCertificate,
-    MagicConfiguration,
-    complement_config,
-    context_sign,
-    exhaustive_nchv_check,
-    intersection_lines,
-    parity_witness,
-    shared_point,
-)
-from .pauli import (
-    ParseError,
-    PauliObservable,
-    commutes,
-    format_observable,
-    from_symplectic,
-    multiply,
-    parse_observable,
-    product_of_set,
-    to_symplectic,
-)
-from .rectangle import magic_rectangle, twin_rectangle
-from .search import (
-    SearchOptions,
-    enumerate_caps,
-    find_magic_rectangles,
-    find_mermin_squares,
-)
+Importing the package loads no submodule: a public name read from it
+loads the submodule that defines it on first use (PEP 562), so a
+command that never searches never compiles :mod:`bksgeom.search`.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClassificationLabel",
-    "Context",
-    "ContextError",
-    "ContradictionCertificate",
-    "MagicConfiguration",
-    "ParseError",
-    "PauliObservable",
-    "SearchOptions",
-    "Subspace",
-    "SymplecticPoint",
-    "classify_set",
-    "commutes",
-    "complement_config",
-    "contains",
-    "context_sign",
-    "enumerate_caps",
-    "enumerate_points",
-    "exhaustive_nchv_check",
-    "find_magic_rectangles",
-    "find_mermin_squares",
-    "format_observable",
-    "from_symplectic",
-    "intersect",
-    "intersection_lines",
-    "is_cap",
-    "is_totally_isotropic",
-    "magic_rectangle",
-    "multiply",
-    "parity_witness",
-    "parse_observable",
-    "product_of_set",
-    "projective_closure",
-    "shared_point",
-    "span",
-    "symplectic_form",
-    "third_point",
-    "to_symplectic",
-    "twin_rectangle",
-    "__version__",
-]
+# Each public name and the submodule that defines it.
+_SUBMODULE = {
+    name: module
+    for module, names in {
+        "classify": "ClassificationLabel classify_set is_cap projective_closure",
+        "geometry": (
+            "Subspace SymplecticPoint contains enumerate_points intersect"
+            " is_totally_isotropic span symplectic_form third_point"
+        ),
+        "magic": (
+            "Context ContextError ContradictionCertificate MagicConfiguration complement_config"
+            " context_sign exhaustive_nchv_check intersection_lines parity_witness shared_point"
+        ),
+        "pauli": (
+            "ParseError PauliObservable commutes format_observable from_symplectic"
+            " multiply parse_observable product_of_set to_symplectic"
+        ),
+        "rectangle": "magic_rectangle twin_rectangle",
+        "search": "SearchOptions enumerate_caps find_magic_rectangles find_mermin_squares",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = [*sorted(_SUBMODULE), "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = __import__(f"{__name__}.{_SUBMODULE[name]}", fromlist=[name])
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *__all__})

@@ -32,7 +32,6 @@ strings.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections import Counter
 from collections.abc import Callable, Sequence
@@ -40,6 +39,7 @@ from collections.abc import Callable, Sequence
 from .classify import classify_set
 from .geometry import Subspace, SymplecticPoint, enumerate_points
 from .magic import (
+    SHAPES,
     Context,
     ContextError,
     MagicConfiguration,
@@ -59,13 +59,6 @@ from .pauli import (
     to_symplectic,
 )
 from .rectangle import CONTEXT_NAMES, anchor_point, magic_rectangle
-from .search import (
-    SHAPES,
-    SearchOptions,
-    cap_census,
-    find_magic_rectangles,
-    find_mermin_squares,
-)
 
 # ---------------------------------------------------------------------------
 # configuration files
@@ -313,19 +306,6 @@ def cmd_complement(args: argparse.Namespace) -> Outcome:
     return block, _render_complement, 0
 
 
-def _search_options(args: argparse.Namespace) -> SearchOptions:
-    """The options as given; a search applies its own default anchor and
-    decides where the seed acts."""
-    return SearchOptions(
-        qubit_count=args.qubits,
-        anchor_point=None if args.anchor is None else to_symplectic(parse_observable(args.anchor)),
-        shape=args.shape,
-        limit=args.limit,
-        dedup=not args.no_dedup,
-        seed=True,
-    )
-
-
 def _render_census(block: dict) -> str:
     out = []
     for amb in block["ambients"]:
@@ -346,7 +326,19 @@ def _render_results(block: dict) -> str:
 
 
 def cmd_search(args: argparse.Namespace) -> Outcome:
-    options = _search_options(args)
+    # Only this command loads the search module.
+    from .search import SearchOptions, cap_census, find_magic_rectangles, find_mermin_squares
+
+    # The options as given; a search applies its own default anchor and
+    # decides where the seed acts.
+    options = SearchOptions(
+        qubit_count=args.qubits,
+        anchor_point=None if args.anchor is None else to_symplectic(parse_observable(args.anchor)),
+        shape=args.shape,
+        limit=args.limit,
+        dedup=not args.no_dedup,
+        seed=True,
+    )
     # Rectangle search defaults to the anchor IXII; the others to no filter.
     anchor = options.anchor_point or (anchor_point() if options.shape == "hc_rectangle" else None)
     head = {
@@ -442,7 +434,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = json.dumps(block, indent=2) + "\n" if args.json else render(block)
+    if args.json:
+        import json  # only here: the text output never loads it
+
+        text = json.dumps(block, indent=2) + "\n"
+    else:
+        text = render(block)
     print(text, end="")
     return code
 

@@ -40,6 +40,11 @@ from .pauli import (
     to_symplectic,
 )
 
+# The shapes a search looks for (``search.SearchOptions.shape``).  They
+# live here, in a module that every command loads, so that the command
+# line offers them without loading the search.
+SHAPES = ("mermin_square", "hc_rectangle", "ovoid_census")
+
 
 class ContextError(ValueError):
     """Raised when a context or configuration violates a structural rule."""

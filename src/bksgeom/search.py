@@ -54,11 +54,17 @@ from .geometry import (
     _span_values,
     packed_form,
 )
-from .magic import Context, MagicConfiguration, _values_sign, check_twin_anchor, observable_key, sorted_observables
+from .magic import (
+    SHAPES,
+    Context,
+    MagicConfiguration,
+    _values_sign,
+    check_twin_anchor,
+    observable_key,
+    sorted_observables,
+)
 from .pauli import PauliObservable, _from_packed, packed_product
 from .rectangle import anchor_point, magic_rectangle
-
-SHAPES = ("mermin_square", "hc_rectangle", "ovoid_census")
 
 
 class SearchOptions(

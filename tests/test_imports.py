@@ -1,6 +1,8 @@
-"""Every module of the package uses each name it imports, every private
-module-level name is read, every name the benchmark traces exists, the
-README's library example runs, and importing the CLI stays light."""
+"""Every module of the package, ``__init__.py`` included, uses each name
+it imports, every private module-level name is read, every name the
+benchmark traces exists, the README's library example runs, the package
+resolves its public names on first use, and importing the package or
+running a command that does not search stays light."""
 
 import ast
 import importlib
@@ -13,8 +15,7 @@ import pytest
 import bksgeom
 
 PACKAGE = Path(bksgeom.__file__).resolve().parent
-# __init__.py imports names to re-export them.
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -133,3 +134,58 @@ def test_cli_import_builds_no_search_table(child_env):
         [sys.executable, "-S", "-c", code], env=child_env, capture_output=True, text=True, check=True
     )
     assert done.stdout == "0 0\n"
+
+
+def child_run(child_env, code: str, cwd=None) -> str:
+    """Stdout of ``code`` run by a fresh ``python -S``."""
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=child_env, cwd=cwd, capture_output=True, text=True, check=True
+    )
+    return done.stdout
+
+
+def test_package_import_loads_no_submodule(child_env):
+    code = "import sys, bksgeom; print(sorted(m for m in sys.modules if m.startswith('bksgeom.')))"
+    assert child_run(child_env, code) == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["reproduce", "reproduce --json", "verify rect.txt", "classify rect.txt", "complement rect.txt --point IXII"],
+)
+def test_command_without_search_leaves_search_and_json_unloaded(command, child_env, tmp_path):
+    """A command that does not search never compiles the search module,
+    and only ``--json`` loads ``json``."""
+    from bksgeom.rectangle import CONTEXT_WORDS
+
+    config = "\n\n".join("\n".join(words) for words in CONTEXT_WORDS) + "\n"
+    (tmp_path / "rect.txt").write_text(config, encoding="utf-8")
+    code = (
+        "import io, sys, contextlib\n"
+        "from bksgeom.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({command.split()!r})\n"
+        "print(code, 'bksgeom.search' in sys.modules, 'json' in sys.modules)\n"
+    )
+    assert child_run(child_env, code, cwd=tmp_path) == f"0 False {'--json' in command}\n"
+
+
+def test_every_public_name_resolves_and_is_listed(child_env):
+    """``dir`` lists each name of ``__all__`` before any submodule is
+    loaded, each resolves on first access, and a star import binds them
+    all to the same objects."""
+    code = (
+        "import sys, bksgeom\n"
+        "names = set(bksgeom.__all__)\n"
+        "print(sorted(names - set(dir(bksgeom))), any(m.startswith('bksgeom.') for m in sys.modules))\n"
+        "star = {}\n"
+        "exec('from bksgeom import *', star)\n"
+        "print(sorted(names - set(star)))\n"
+        "print(sorted(n for n in names if getattr(bksgeom, n) is not star[n]))\n"
+    )
+    assert child_run(child_env, code) == "[] False\n[]\n[]\n"
+
+
+def test_unknown_attribute_names_the_module():
+    with pytest.raises(AttributeError, match="module 'bksgeom' has no attribute 'no_such_name'"):
+        bksgeom.no_such_name
