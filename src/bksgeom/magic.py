@@ -22,12 +22,12 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
 from functools import cached_property, reduce
 
 from . import _kernels
-from .geometry import Subspace, SymplecticPoint, intersect, packed_form, span
+from .geometry import Subspace, SymplecticPoint, _span_values, intersect, packed_form, span
 from .pauli import (
     PauliObservable,
     format_observable,
@@ -256,34 +256,46 @@ def parity_witness(config: MagicConfiguration) -> ContradictionCertificate:
     return ContradictionCertificate(sign_product, all_even, exists, witness)
 
 
+def _meets(config: MagicConfiguration, shared: int) -> dict[tuple[int, int], Subspace]:
+    """Meets of the context spans i < j that share at least ``shared``
+    points, in ascending pair order.  An index from each closure point to
+    the ascending spans that hold it counts the points every pair shares,
+    so a pair that shares none is never intersected."""
+    spans = config.context_spans()
+    holders: dict[int, list[int]] = {}
+    for i, sub in enumerate(spans):
+        for value in _span_values(sub.rows)[1:]:
+            holders.setdefault(value, []).append(i)
+    counts = Counter(pair for held in holders.values() for pair in itertools.combinations(held, 2))
+    return {
+        (i, j): intersect(spans[i], spans[j]) for i, j in sorted(counts) if counts[i, j] >= shared
+    }
+
+
 def intersection_lines(config: MagicConfiguration) -> dict[tuple[int, int], Subspace]:
     """Nonzero pairwise intersections of context spans.
 
     Keys are index pairs (i, j) with i < j into config.contexts; values
     are the intersection subspaces, included whenever their rank is at
-    least 1.  An identity-only context spans the zero subspace, so it
-    meets nothing and takes part in no pair.
+    least 1.  The meets are found through an index from closure points to
+    the spans that hold them: only pairs that share a point are
+    intersected, since any other pair meets in the zero subspace.  An
+    identity-only context spans the zero subspace, so it holds no point
+    and takes part in no pair.
     """
-    spans = config.context_spans()
-    out: dict[tuple[int, int], Subspace] = {}
-    for i in range(len(spans)):
-        for j in range(i + 1, len(spans)):
-            meet = intersect(spans[i], spans[j])
-            if meet.rank >= 1:
-                out[(i, j)] = meet
-    return out
+    return _meets(config, 1)
 
 
 def shared_point(config: MagicConfiguration) -> SymplecticPoint:
     """The unique point on every pairwise intersection line of context spans.
 
-    Only pairs whose spans meet in rank >= 2 (a line or more) take part.
-    Raises ContextError when no pair meets in a line or when the common
-    intersection of those meets is not a single point.
+    Only pairs whose spans meet in rank >= 2 (a line or more) take part;
+    they are found through the closure-point index of
+    :func:`intersection_lines` as the pairs that share at least three
+    points.  Raises ContextError when no pair meets in a line or when the
+    common intersection of those meets is not a single point.
     """
-    lines = [
-        sub for sub in intersection_lines(config).values() if sub.rank >= 2
-    ]
+    lines = list(_meets(config, 3).values())
     if not lines:
         raise ContextError("no pair of context spans meets in a line")
     common = lines[0]

@@ -17,6 +17,7 @@ from bksgeom.geometry import (
     Subspace,
     SymplecticPoint,
     enumerate_points,
+    intersect,
     is_totally_isotropic,
     packed_form,
 )
@@ -599,6 +600,65 @@ def test_shared_point_absent_when_the_meets_share_a_line():
     assert code == 1
     assert report["shared_point"] is None and report["twin"] is None
     assert report["lines"] == [{"contexts": [0, 1], "points": ["IX", "XI", "XX"]}]
+
+
+def _brute_meets(config: MagicConfiguration) -> dict:
+    """Every pair i < j of context spans intersected, the nonzero meets kept."""
+    spans = config.context_spans()
+    pairs = itertools.combinations(range(len(spans)), 2)
+    meets = {(i, j): intersect(spans[i], spans[j]) for i, j in pairs}
+    return {pair: meet for pair, meet in meets.items() if meet.rank >= 1}
+
+
+def _reference_shared_point(config: MagicConfiguration) -> SymplecticPoint:
+    """shared_point as it was defined before the closure-point index: the
+    common intersection of the brute-force meets of rank >= 2."""
+    lines = [sub for sub in _brute_meets(config).values() if sub.rank >= 2]
+    if not lines:
+        raise ContextError("no pair of context spans meets in a line")
+    common = functools.reduce(intersect, lines)
+    if common.rank != 1:
+        raise ContextError(f"no unique shared point; common intersection has rank {common.rank}")
+    return SymplecticPoint.from_value(config.n, common.rows[0])
+
+
+def _point_or_error(find, config: MagicConfiguration):
+    try:
+        return find(config)
+    except ContextError as exc:
+        return str(exc)
+
+
+@st.composite
+def _configuration_with_repeats(draw) -> MagicConfiguration:
+    """A drawn configuration with up to three of its contexts given again,
+    each as the same object or with its members reversed (the same span)."""
+    contexts = list(draw(_configuration()).contexts)
+    for _ in range(draw(st.integers(0, 3))):
+        ctx = contexts[draw(st.integers(0, len(contexts) - 1))]
+        copy = Context(ctx.observables[::-1]) if draw(st.booleans()) else ctx
+        contexts.insert(draw(st.integers(0, len(contexts))), copy)
+    return MagicConfiguration(contexts)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_configuration_with_repeats())
+@example(magic_rectangle())
+@example(twin_rectangle())
+@example(MagicConfiguration.from_words([("II", "-II"), ("XI", "IX", "XX"), ("XI", "IZ", "XZ"), ("II",)]))
+@example(MagicConfiguration.from_words([("XI", "IX", "XX"), ("ZI", "IZ", "ZZ"), ("XI", "IX", "XX")]))
+@example(
+    # Two contexts with one span of rank 3 and different points.
+    MagicConfiguration.from_words(
+        [("ZII", "IZI", "IIZ", "ZZZ"), ("ZZI", "IZZ", "ZII", "IIZ"), ("ZII", "IXI", "ZXI")]
+    )
+)
+def test_meets_through_the_closure_point_index_match_every_pair(config):
+    """intersection_lines lists the brute-force nonzero meets of all pairs,
+    in the same order, and shared_point finds the same point or raises the
+    same message as the common intersection of the rank >= 2 meets."""
+    assert list(intersection_lines(config).items()) == list(_brute_meets(config).items())
+    assert _point_or_error(shared_point, config) == _point_or_error(_reference_shared_point, config)
 
 
 # ---------------------------------------------------------------------------
