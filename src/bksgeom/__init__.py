@@ -18,11 +18,8 @@ __version__ = "0.1.0"
 _SUBMODULE = {
     name: module
     for module, names in {
-        "classify": "ClassificationLabel classify_set is_cap projective_closure",
-        "geometry": (
-            "Subspace SymplecticPoint contains enumerate_points intersect"
-            " is_totally_isotropic span symplectic_form third_point"
-        ),
+        "classify": "ClassificationLabel classify_set",
+        "geometry": "Subspace SymplecticPoint enumerate_points intersect span symplectic_form",
         "magic": (
             "Context ContextError ContradictionCertificate MagicConfiguration complement_config"
             " context_sign exhaustive_nchv_check intersection_lines parity_witness shared_point"
@@ -31,7 +28,7 @@ _SUBMODULE = {
             "ParseError PauliObservable commutes format_observable from_symplectic"
             " multiply parse_observable product_of_set to_symplectic"
         ),
-        "rectangle": "magic_rectangle twin_rectangle",
+        "rectangle": "magic_rectangle",
         "search": "SearchOptions enumerate_caps find_magic_rectangles find_mermin_squares",
     }.items()
     for name in names.split()

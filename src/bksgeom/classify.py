@@ -21,7 +21,7 @@ import operator
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
 
-from .geometry import Subspace, SymplecticPoint, _check_same_space, _eliminate, enumerate_points, span
+from .geometry import SymplecticPoint, _check_same_space, _eliminate
 from .pauli import point_word
 
 KIND_SINGLE_POINT = "single_point"
@@ -71,16 +71,6 @@ def _dependent_sets(relations: Sequence[int], size: int) -> Iterator[tuple[int, 
             mask = functools.reduce(operator.xor, combo)
             if mask.bit_count() == size:
                 yield tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-def is_cap(points: Sequence[SymplecticPoint]) -> bool:
-    """Whether no three of the points are collinear: no pair's sum a ^ b,
-    the third point of their line, lies in the set.
-
-    Raises ValueError on duplicates, since a multiset cannot be a cap.
-    """
-    values = {p.value for p in _checked_points(points)}
-    return not any(a ^ b in values for a, b in itertools.combinations(values, 2))
 
 
 def classify_set(points: Sequence[SymplecticPoint]) -> ClassificationLabel:
@@ -135,20 +125,3 @@ def classify_set(points: Sequence[SymplecticPoint]) -> ClassificationLabel:
 
     return generic(f"no recognised shape for {k} points of rank {rank}")
 
-
-def projective_closure(
-    points: Sequence[SymplecticPoint],
-) -> tuple[Subspace, ClassificationLabel | None]:
-    """The span of the set and the classification of the complement.
-
-    The complement is taken inside the span: the points of the closure
-    that are not in the input set.  When the set already fills its span
-    the complement is empty and the second element is None.
-    """
-    pts = _checked_points(points)
-    closure = span(pts)
-    given = {p.value for p in pts}
-    rest = [p for p in enumerate_points(closure) if p.value not in given]
-    if not rest:
-        return closure, None
-    return closure, classify_set(rest)

@@ -9,16 +9,14 @@ echelon form over GF(2), which makes equality of subspaces equality of
 row tuples.
 
 All arithmetic here is exact integer bit twiddling.  The primitives on
-packed values, :func:`packed_form` (the symplectic form),
-:func:`reduce_row` (reduction against echelon rows) and :func:`_eliminate`
-(the GF(2) elimination), are the only implementations of those
-operations in the package.
+packed values, :func:`packed_form` (the symplectic form) and
+:func:`_eliminate` (the GF(2) elimination), are the only implementations
+of those operations in the package.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
@@ -48,17 +46,6 @@ def _check_same_space(a, b) -> None:
     """Raise unless two points, observables or subspaces share their qubit count."""
     if a.n != b.n:
         raise ValueError(f"operands live in different spaces (n={a.n} vs n={b.n})")
-
-
-def reduce_row(value: int, rows: Iterable[int]) -> int:
-    """Reduce a GF(2) row vector against rows in descending pivot order.
-
-    Each row's pivot is its most significant bit, and XORing the row in
-    clears that bit exactly when the result is smaller.
-    """
-    for row in rows:
-        value = min(value, value ^ row)
-    return value
 
 
 class SymplecticPoint(namedtuple("SymplecticPoint", "n x z")):
@@ -100,18 +87,6 @@ def symplectic_form(u: SymplecticPoint, v: SymplecticPoint) -> int:
     """
     _check_same_space(u, v)
     return packed_form(u.n, u.value, v.value)
-
-
-def third_point(p: SymplecticPoint, q: SymplecticPoint) -> SymplecticPoint:
-    """The third point on the projective line through two distinct points.
-
-    Over GF(2) a line has exactly three points and the third is the XOR
-    of the other two.
-    """
-    _check_same_space(p, q)
-    if p == q:
-        raise ValueError("third_point needs two distinct points")
-    return SymplecticPoint(p.n, p.x ^ q.x, p.z ^ q.z)
 
 
 def _eliminate(values: Iterable[int]) -> tuple[dict[int, int], list[int]]:
@@ -167,11 +142,6 @@ class Subspace(namedtuple("Subspace", "n rows")):
     def rank(self) -> int:
         return len(self.rows)
 
-    @property
-    def point_count(self) -> int:
-        """Number of projective points, 2^rank - 1."""
-        return (1 << self.rank) - 1
-
 
 def span(points: Iterable[SymplecticPoint]) -> Subspace:
     """The linear span of a non-empty collection of points."""
@@ -181,12 +151,6 @@ def span(points: Iterable[SymplecticPoint]) -> Subspace:
     for p in pts:
         _check_same_space(pts[0], p)
     return Subspace(pts[0].n, tuple(_eliminate(p.value for p in pts)[0]))
-
-
-def contains(s: Subspace, p: SymplecticPoint) -> bool:
-    """Whether the point lies in the subspace (reduce against the RREF rows)."""
-    _check_same_space(p, s)
-    return reduce_row(p.value, s.rows) == 0
 
 
 def _span_values(basis: Sequence[int]) -> list[int]:
@@ -224,12 +188,3 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
         for r in relations
     )
     return Subspace(a.n, tuple(_eliminate(meet)[0]))
-
-
-def is_totally_isotropic(s: Subspace) -> bool:
-    """Whether the symplectic form vanishes on every pair of basis rows.
-
-    Totally isotropic subspaces correspond to sets of mutually commuting
-    Pauli observables; in W(2N-1, 2) their rank is at most N.
-    """
-    return not any(packed_form(s.n, r1, r2) for r1, r2 in itertools.combinations(s.rows, 2))

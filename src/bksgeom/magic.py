@@ -290,10 +290,10 @@ def shared_point(config: MagicConfiguration) -> SymplecticPoint:
     """The unique point on every pairwise intersection line of context spans.
 
     Only pairs whose spans meet in rank >= 2 (a line or more) take part;
-    they are found through the closure-point index of
-    :func:`intersection_lines` as the pairs that share at least three
-    points.  Raises ContextError when no pair meets in a line or when the
-    common intersection of those meets is not a single point.
+    they are found through the closure-point index of :func:`_meets` as
+    the pairs that share at least three points.  Raises ContextError when
+    no pair meets in a line or when the common intersection of those
+    meets is not a single point.
     """
     lines = list(_meets(config, 3).values())
     if not lines:

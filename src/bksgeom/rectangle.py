@@ -1,14 +1,11 @@
-"""The built-in four-qubit magic rectangle and its twin.
+"""The built-in four-qubit magic rectangle and its anchor point.
 
 Eleven four-qubit observables arranged in five contexts: four contexts
 of five observables whose products are +IIII and one context of four
 observables whose product is -IIII.  Every observable except IXII sits
 in exactly two contexts, IXII sits in four, so the parity argument
-certifies a Bell-Kochen-Specker contradiction.
-
-The twin configuration is the image of the original under left
-multiplication by IXII with the point IXII held fixed; it is magic in
-exactly the same way.
+certifies a Bell-Kochen-Specker contradiction.  The twin is not
+stored: ``complement_config`` through the anchor IXII computes it.
 """
 
 from __future__ import annotations
@@ -29,14 +26,6 @@ CONTEXT_WORDS = (
     ("ZXZX", "ZXXZ", "XXZZ", "XXXX"),
 )
 
-TWIN_CONTEXT_WORDS = (
-    ("IXII", "ZXII", "IXZI", "IXIX", "ZIZX"),
-    ("IXII", "ZXII", "IXIZ", "IXXI", "ZIXZ"),
-    ("IXII", "IXZI", "IXIZ", "XXII", "XIZZ"),
-    ("IXII", "IXIX", "IXXI", "XXII", "XIXX"),
-    ("ZIZX", "ZIXZ", "XIZZ", "XIXX"),
-)
-
 ANCHOR_WORD = "IXII"
 
 
@@ -50,7 +39,3 @@ def magic_rectangle() -> MagicConfiguration:
     """The built-in rectangle with contexts in the order S1..S5."""
     return MagicConfiguration.from_words(CONTEXT_WORDS)
 
-
-def twin_rectangle() -> MagicConfiguration:
-    """The complementary rectangle with contexts in the order S1'..S5'."""
-    return MagicConfiguration.from_words(TWIN_CONTEXT_WORDS)

@@ -230,8 +230,9 @@ def _lagrangians(point: SymplecticPoint) -> tuple[tuple[tuple[int, ...], ...], t
     basis of their span.  The candidates are a bitset over the 2^(2N)
     packed values.  A pick has a 0 at the earlier picks' top bits and a
     higher one, so the RREF rows are the picks and p reduced by them
-    pick by pick, as ``reduce_row`` does.  A Lagrangian is its own perp,
-    so its bitset is the nonzero values outside the OR of anti on its basis.
+    pick by pick, each pick q taking p to min(p, p ^ q).  A Lagrangian is
+    its own perp, so its bitset is the nonzero values outside the OR of
+    anti on its basis.
     """
     n, p = point.n, point.value
     if n > 6:

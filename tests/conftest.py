@@ -6,7 +6,10 @@ from pathlib import Path
 import pytest
 
 import bksgeom
-from bksgeom.rectangle import magic_rectangle, twin_rectangle
+from bksgeom.magic import MagicConfiguration
+from bksgeom.rectangle import magic_rectangle
+
+from reference_geometry import TWIN_CONTEXT_WORDS
 
 
 @pytest.fixture()
@@ -16,7 +19,7 @@ def rect():
 
 @pytest.fixture()
 def twin():
-    return twin_rectangle()
+    return MagicConfiguration.from_words(TWIN_CONTEXT_WORDS)
 
 
 @pytest.fixture()

@@ -1,12 +1,14 @@
 """Helpers and oracles that the package itself does not use, kept for the
-tests, one copy each: the point a word names, every point of a space,
-words as real matrices, the join of two subspaces, independent
-implementations of what ``geometry._eliminate`` computes (reduced row
-echelon form, the Zassenhaus intersection, the valuation solve by
-Gauss-Jordan elimination with lowest-bit pivots and by an ascending
-scan, and the shape witnesses of ``classify_set`` by brute-force loops),
-the Mermin-square search by line partitions of nine points, and the
-canonical order and the twin map on contexts in packed (value, sign) form."""
+tests, one copy each: the paper's twin rectangle, the point a word names,
+every point of a space, words as real matrices, total isotropy, what the
+span of a set adds to it, the join of two subspaces, independent
+implementations of what ``geometry._eliminate`` computes (reduction
+against echelon rows, reduced row echelon form, the Zassenhaus
+intersection, the valuation solve by Gauss-Jordan elimination with
+lowest-bit pivots and by an ascending scan, and the shape witnesses of
+``classify_set`` by brute-force loops), the Mermin-square search by line
+partitions of nine points, and the canonical order and the twin map on
+contexts in packed (value, sign) form."""
 
 import functools
 import itertools
@@ -25,10 +27,20 @@ from bksgeom.classify import (
     KIND_TRIANGLE,
     ClassificationLabel,
 )
-from bksgeom.geometry import Subspace, SymplecticPoint, packed_form, reduce_row
+from bksgeom.geometry import Subspace, SymplecticPoint, packed_form
 from bksgeom.magic import Context, ContextError, MagicConfiguration
 from bksgeom.pauli import _from_packed, packed_product, parse_observable, point_word, to_symplectic
 from bksgeom.search import SearchOptions
+
+# The twin of the built-in rectangle, S1'..S5', as the paper lists it: the
+# rectangle projected through IXII.
+TWIN_CONTEXT_WORDS = (
+    ("IXII", "ZXII", "IXZI", "IXIX", "ZIZX"),
+    ("IXII", "ZXII", "IXIZ", "IXXI", "ZIXZ"),
+    ("IXII", "IXZI", "IXIZ", "XXII", "XIZZ"),
+    ("IXII", "IXIX", "IXXI", "XXII", "XIXX"),
+    ("ZIZX", "ZIXZ", "XIZZ", "XIXX"),
+)
 
 
 def pt(word: str) -> SymplecticPoint:
@@ -62,12 +74,37 @@ def all_points(n: int) -> Iterator[SymplecticPoint]:
         yield SymplecticPoint.from_value(n, value)
 
 
+def is_isotropic(sub: Subspace) -> bool:
+    """Whether every two basis rows commute: x.z' + z.x' is even."""
+    pairs = itertools.combinations([divmod(row, 1 << sub.n) for row in sub.rows], 2)
+    return all(bin(x & z2 ^ z & x2).count("1") % 2 == 0 for (x, z), (x2, z2) in pairs)
+
+
+def closure_rest(points: Sequence[SymplecticPoint]) -> list:
+    """The points of the span of ``points`` that are not among them, in
+    ascending value order: the values closed under XOR, less the given."""
+    given = {p.value for p in points}
+    closure = {0}
+    for value in given:
+        closure |= {value ^ c for c in closure}
+    return [SymplecticPoint.from_value(points[0].n, v) for v in sorted(closure - given - {0})]
+
+
+def reduce_against(value: int, rows: Iterable[int]) -> int:
+    """The value reduced against rows in descending pivot order: each row
+    is XORed in when that clears the row's top bit, i.e. lowers the value;
+    0 exactly when the value lies in the rows' span."""
+    for row in rows:
+        value = min(value, value ^ row)
+    return value
+
+
 def rref(values: Iterable[int]) -> tuple[int, ...]:
     """Reduced row echelon form of GF(2) row vectors given as integers,
     pivots at the most significant bit, rows sorted descending."""
     rows: list[int] = []
     for value in values:
-        value = reduce_row(value, rows)
+        value = reduce_against(value, rows)
         if value:
             rows.append(value)
             rows.sort(reverse=True)

@@ -20,14 +20,12 @@ from bksgeom.classify import (
     KIND_ELLIPTIC_QUADRIC,
     KIND_LINE,
     classify_set,
-    projective_closure,
 )
 from bksgeom.cli import main
 from bksgeom.geometry import (
     SymplecticPoint,
     enumerate_points,
     intersect,
-    is_totally_isotropic,
     span,
     symplectic_form,
 )
@@ -46,13 +44,7 @@ from bksgeom.pauli import (
     parse_observable,
     point_word,
 )
-from bksgeom.rectangle import (
-    CONTEXT_WORDS,
-    TWIN_CONTEXT_WORDS,
-    anchor_point,
-    magic_rectangle,
-    twin_rectangle,
-)
+from bksgeom.rectangle import CONTEXT_WORDS, anchor_point, magic_rectangle
 from bksgeom.search import (
     SearchOptions,
     canonical_config,
@@ -61,7 +53,7 @@ from bksgeom.search import (
     find_mermin_squares,
 )
 
-from reference_geometry import all_points, subspace_sum, word_matrix
+from reference_geometry import TWIN_CONTEXT_WORDS, all_points, closure_rest, is_isotropic, subspace_sum, word_matrix
 
 # ---------------------------------------------------------------------------
 # frozen expected values for the built-in configuration
@@ -150,9 +142,7 @@ def test_criterion_1_reproduction(capsys):
         }
         assert got_lines == EXPECTED_LINES
         assert report["shared_point"] == "IXII"
-        assert [set(e["observables"]) for e in report["twin"]] == [
-            set(words) for words in TWIN_CONTEXT_WORDS
-        ]
+        assert [set(e["observables"]) for e in report["twin"]] == [set(w) for w in TWIN_CONTEXT_WORDS]
 
     run_criterion(
         capsys, 1, 1.0, "reproduce emits every built-in listing exactly", body
@@ -166,22 +156,16 @@ def test_criterion_2_classification(capsys):
             pts = ctx.points()
             label = classify_set(pts)
             assert label.kind == KIND_ELLIPTIC_QUADRIC
-            closure, _ = projective_closure(pts)
+            closure = span(pts)
             assert closure.rank == 4
-            assert is_totally_isotropic(closure)
+            assert is_isotropic(closure)
         affine = rect.contexts[4].points()
         label = classify_set(affine)
         assert label.kind == KIND_AFFINE_PLANE
-        closure, rest = projective_closure(affine)
-        assert closure.rank == 3
-        assert rest is not None and rest.kind == KIND_LINE
-        given = {p.value for p in affine}
-        leftover = {
-            point_word(p)
-            for p in enumerate_points(closure)
-            if p.value not in given
-        }
-        assert leftover == EXPECTED_CLOSURE_LINE
+        assert span(affine).rank == 3
+        rest = closure_rest(affine)
+        assert classify_set(rest).kind == KIND_LINE
+        assert {point_word(p) for p in rest} == EXPECTED_CLOSURE_LINE
 
     run_criterion(
         capsys,
@@ -226,10 +210,9 @@ def test_criterion_3_contradiction(capsys, tmp_path):
     )
 
 
-def test_criterion_4_twin(capsys):
+def test_criterion_4_twin(capsys, twin):
     def body():
         rect = magic_rectangle()
-        twin = twin_rectangle()
         rect_spans = rect.context_spans()
         twin_spans = twin.context_spans()
         for i in range(4):
@@ -239,15 +222,9 @@ def test_criterion_4_twin(capsys):
         meet = intersect(rect_spans[4], twin_spans[4])
         assert {point_word(p) for p in enumerate_points(meet)} == EXPECTED_CLOSURE_LINE
         for config in (rect, twin):
-            closure, rest = projective_closure(config.contexts[4].points())
-            given = {p.value for p in config.contexts[4].points()}
-            leftover = {
-                point_word(p)
-                for p in enumerate_points(closure)
-                if p.value not in given
-            }
-            assert rest is not None and rest.kind == KIND_LINE
-            assert leftover == EXPECTED_CLOSURE_LINE
+            rest = closure_rest(config.contexts[4].points())
+            assert classify_set(rest).kind == KIND_LINE
+            assert {point_word(p) for p in rest} == EXPECTED_CLOSURE_LINE
 
         twin_cert = parity_witness(twin)
         assert twin_cert.certified
@@ -332,7 +309,7 @@ def test_criterion_5_oracles(capsys):
     )
 
 
-def test_criterion_6_search(capsys):
+def test_criterion_6_search(capsys, twin):
     def body():
         square_options = SearchOptions(qubit_count=2, shape="mermin_square")
         squares = find_mermin_squares(square_options)
@@ -357,17 +334,13 @@ def test_criterion_6_search(capsys):
         results = find_magic_rectangles(options)
         assert results == find_magic_rectangles(options)
         keys = {tuple(ctx.words for ctx in config.contexts) for config in results}
-        assert tuple(
-            ctx.words for ctx in canonical_config(magic_rectangle()).contexts
-        ) in keys
-        assert tuple(
-            ctx.words for ctx in canonical_config(twin_rectangle()).contexts
-        ) in keys
+        for config in (magic_rectangle(), twin):
+            assert tuple(ctx.words for ctx in canonical_config(config).contexts) in keys
         for config in results:
             assert parity_witness(config).certified
             assert shared_point(config) == anchor_point()
-            twin = canonical_config(complement_config(config, anchor_point()))
-            assert tuple(ctx.words for ctx in twin.contexts) in keys
+            image = canonical_config(complement_config(config, anchor_point()))
+            assert tuple(ctx.words for ctx in image.contexts) in keys
         with capsys.disabled():
             print(
                 f"[acceptance]   counts: {len(squares)} squares, "

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -18,13 +17,11 @@ from bksgeom.classify import (
     KIND_SINGLE_POINT,
     KIND_TRIANGLE,
     classify_set,
-    is_cap,
-    projective_closure,
 )
 from bksgeom.geometry import SymplecticPoint, enumerate_points, span
 from bksgeom.pauli import point_word
 
-from reference_geometry import brute_classify, collinear_triple, pt
+from reference_geometry import brute_classify, closure_rest, collinear_triple, pt
 
 CONTEXT_WORDS = (
     ("ZIII", "IXII", "IIZI", "IIIX", "ZXZX"),
@@ -49,7 +46,6 @@ def test_five_point_contexts_are_elliptic_quadrics(words):
     assert label.kind == KIND_ELLIPTIC_QUADRIC
     assert label.ambient_rank == 4
     assert label.detail == ""
-    assert is_cap(pts(*words))
 
 
 def test_fifth_context_is_affine_plane():
@@ -104,7 +100,7 @@ def test_cap_with_coplanar_quadruple_is_not_quadric():
     no collinear triple yet contains an affine plane, so it must not be
     classified as an elliptic quadric."""
     sample = [SymplecticPoint.from_value(2, v) for v in (8, 4, 2, 14, 1)]
-    assert is_cap(sample)
+    assert collinear_triple([p.value for p in sample]) is None
     label = classify_set(sample)
     assert label.kind == KIND_GENERIC
     assert label.detail.startswith("coplanar quadruple:")
@@ -123,37 +119,22 @@ def test_five_independent_points_are_not_quadric():
 @pytest.mark.parametrize("size", [3, 4, 5, 9])
 def test_every_subset_of_pg32_matches_brute_force(size):
     """Every 3-, 4-, 5- and 9-subset of PG(3, 2), each in a seeded random
-    order, gets the label and the witness text of the brute-force loops,
-    and is a cap exactly when they find no collinear triple."""
+    order, gets the label and the witness text of the brute-force loops."""
     rng = random.Random(size)
     for combo in itertools.combinations(range(1, 16), size):
         points = [SymplecticPoint.from_value(2, v) for v in rng.sample(combo, size)]
         assert classify_set(points) == brute_classify(points)
-        assert is_cap(points) == (collinear_triple([p.value for p in points]) is None)
 
 
 def test_random_sets_match_brute_force():
     """Random sets of 1 to 12 points at N = 3 and 4 agree with the
-    brute-force loops in label, witness text and cap test."""
+    brute-force loops in label and witness text."""
     rng = random.Random(73)
     for _ in range(2000):
         n = rng.choice((3, 4))
         values = rng.sample(range(1, 1 << 2 * n), rng.randint(1, 12))
         points = [SymplecticPoint.from_value(n, v) for v in values]
         assert classify_set(points) == brute_classify(points)
-        assert is_cap(points) == (collinear_triple(values) is None)
-
-
-def test_large_affine_cap_is_decided_quickly():
-    """The 512 points of PG(9, 2) off a hyperplane (every value with the
-    top bit set) form a cap, since the sum of two has that bit clear.
-    One pass over the pairs decides it well under 0.5 s; a point of the
-    hyperplane added to them makes a line."""
-    points = [SymplecticPoint.from_value(5, v) for v in range(1 << 9, 1 << 10)]
-    start = time.perf_counter()
-    assert is_cap(points)
-    assert time.perf_counter() - start < 0.5
-    assert not is_cap(points + [SymplecticPoint.from_value(5, 1)])
 
 
 @settings(max_examples=300, deadline=None)
@@ -209,8 +190,6 @@ def test_classification_is_permutation_invariant():
 def test_duplicates_rejected():
     with pytest.raises(ValueError, match="duplicate"):
         classify_set(pts("ZIII", "ZIII"))
-    with pytest.raises(ValueError):
-        is_cap(pts("ZIII", "IXII", "ZIII"))
 
 
 def test_empty_rejected():
@@ -224,30 +203,20 @@ def test_mixed_sizes_rejected():
 
 
 # ---------------------------------------------------------------------------
-# projective closure
+# what the span adds to a context
 
 
 def test_closure_of_affine_context_leaves_a_line():
-    closure, rest = projective_closure(pts(*CONTEXT_WORDS[4]))
-    assert closure.rank == 3
-    assert rest is not None
-    assert rest.kind == KIND_LINE
-    given = {p.value for p in pts(*CONTEXT_WORDS[4])}
-    leftover = sorted(
-        point_word(p) for p in enumerate_points(closure) if p.value not in given
-    )
-    assert leftover == ["IIYY", "YIIY", "YIYI"]
-
-
-def test_closure_of_full_plane_has_no_complement():
-    plane = span(pts(*CONTEXT_WORDS[4]))
-    closure, rest = projective_closure(enumerate_points(plane))
-    assert closure == plane
-    assert rest is None
+    given = pts(*CONTEXT_WORDS[4])
+    assert span(given).rank == 3
+    rest = closure_rest(given)
+    assert classify_set(rest).kind == KIND_LINE
+    assert sorted(point_word(p) for p in rest) == ["IIYY", "YIIY", "YIYI"]
 
 
 def test_closure_of_quadric_complement_is_generic():
-    closure, rest = projective_closure(pts(*CONTEXT_WORDS[0]))
-    assert closure.rank == 4
-    assert rest is not None
-    assert len(enumerate_points(closure)) == 15
+    given = pts(*CONTEXT_WORDS[0])
+    assert span(given).rank == 4
+    rest = closure_rest(given)
+    assert len(rest) == 10
+    assert classify_set(rest).kind == KIND_GENERIC

@@ -30,12 +30,12 @@ from bksgeom.cli import (
     render_report,
 )
 from bksgeom.magic import Context, MagicConfiguration
-from bksgeom.geometry import MAX_QUBITS, SymplecticPoint, _span_values, packed_form, reduce_row
+from bksgeom.geometry import MAX_QUBITS, SymplecticPoint, _span_values, packed_form
 from bksgeom.pauli import ParseError, format_observable, parse_observable, point_word, to_symplectic
-from bksgeom.rectangle import CONTEXT_NAMES, CONTEXT_WORDS, TWIN_CONTEXT_WORDS, magic_rectangle
+from bksgeom.rectangle import CONTEXT_NAMES, CONTEXT_WORDS, magic_rectangle
 from bksgeom.search import find_magic_rectangles
 
-from reference_geometry import rref
+from reference_geometry import TWIN_CONTEXT_WORDS, reduce_against, rref
 
 
 RECT_FILE = """\
@@ -781,7 +781,7 @@ def _commuting_context(rng, n: int) -> list:
     basis: list = []
     for _ in range(rng.randint(1, n)):
         v = rng.randrange(1, 1 << 2 * n)
-        if all(packed_form(n, v, b) == 0 for b in basis) and reduce_row(v, rref(basis)):
+        if all(packed_form(n, v, b) == 0 for b in basis) and reduce_against(v, rref(basis)):
             basis.append(v)
     values = _span_values(basis)[1:]
     members = rng.sample(values, rng.randint(1, len(values)))

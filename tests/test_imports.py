@@ -1,11 +1,13 @@
 """Every module of the package, ``__init__.py`` included, uses each name
-it imports, every private module-level name is read, every name the
-benchmark traces exists, the README's library example runs, the package
-resolves its public names on first use, and importing the package or
-running a command that does not search stays light."""
+it imports, every private module-level name is read, every public one is
+read, traced or documented, every name the benchmark traces exists, the
+README's library example runs, the package resolves its public names on
+first use, and importing the package or running a command that does not
+search stays light."""
 
 import ast
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +18,7 @@ import bksgeom
 
 PACKAGE = Path(bksgeom.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def unused_imports(source: str) -> list:
@@ -47,27 +50,40 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
 
+def _bound_and_read(source: str) -> tuple:
+    """The names a module binds at module level by a def, class or
+    assignment, and the set of names it reads anywhere."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound += [t.id for t in nodes if isinstance(t, ast.Name)]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return bound, read | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def _unread(sources: dict, keep, shown=frozenset()) -> list:
+    """(module, name) pairs of names bound at module level that ``keep``
+    selects and that neither a module of ``sources`` nor ``shown`` reads."""
+    scanned = {module: _bound_and_read(source) for module, source in sources.items()}
+    read = set(shown).union(*(names for _, names in scanned.values()))
+    return sorted((m, name) for m, (bound, _) in scanned.items() for name in bound if keep(name) and name not in read)
+
+
 def unread_private_names(sources: dict) -> list:
     """(module, name) pairs of private names bound at module level by a
     def, class or assignment that no module of ``sources`` ever reads."""
-    defined, read = [], set()
-    for module, source in sources.items():
-        tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                targets = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
-                targets = [t.id for t in nodes if isinstance(t, ast.Name)]
-            else:
-                targets = []
-            defined += [(module, name) for name in targets if _is_private(name)]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-    return sorted((module, name) for module, name in defined if name not in read)
+    return _unread(sources, _is_private)
+
+
+def unread_public_names(sources: dict, shown: set) -> list:
+    """The same for public names, read by a module other than
+    ``__init__.py`` (its name table only re-exports) or named in ``shown``."""
+    rest = {module: source for module, source in sources.items() if module != "__init__.py"}
+    return _unread(rest, lambda name: not name.startswith("_"), shown)
 
 
 def test_the_check_finds_an_unread_private_name():
@@ -83,10 +99,29 @@ def test_every_private_name_is_read():
     assert unread_private_names(sources) == []
 
 
+def test_the_check_finds_an_unread_public_name():
+    sources = {
+        "__init__.py": "import a\nTABLE = {'orphan': a.orphan}\n",
+        "a.py": "LIMIT = 1\ndef helper():\n    return LIMIT\ndef orphan():\n    pass\ndef shown():\n    pass\n",
+        "b.py": "from a import helper\n_x = helper()\n",
+    }
+    assert unread_public_names(sources, {"shown"}) == [("a.py", "orphan")]
+
+
+def test_every_public_name_is_read_traced_or_documented():
+    """A public name that no module reads is kept only for the benchmark's
+    tracer or for README "Library", which shows it in its example or in
+    backticks; anything else is library surface that nothing runs."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    quoted = " ".join(re.findall(r"`+([^`]+)`+", library_section()))  # spans and the example
+    shown = {function for _, function in traced_names()} | set(re.findall(r"\w+", quoted))
+    assert unread_public_names(sources, shown) == []
+
+
 def traced_names() -> list:
     """The (module, function) pairs the benchmark's tracer wraps, read
     from ``perfbench/tracing.py`` without importing it."""
-    source = (Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py").read_text()
+    source = (ROOT / "perfbench" / "tracing.py").read_text()
     for node in ast.parse(source).body:
         if isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "WRAPPED" for target in node.targets
@@ -104,11 +139,15 @@ def test_every_traced_name_resolves():
         assert callable(getattr(importlib.import_module(f"bksgeom.{module}"), function))
 
 
+def library_section() -> str:
+    """README "Library", up to the next section."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+
+
 def test_readme_library_example_runs():
     """The fenced ``python`` block of README "Library" runs as written."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
-    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    code = library_section().split("```python\n", 1)[1].split("\n```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
 
 

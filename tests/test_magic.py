@@ -11,14 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bksgeom import magic
-from bksgeom.classify import KIND_LINE, classify_set, projective_closure
+from bksgeom.classify import KIND_LINE, classify_set
 from bksgeom.cli import build_report, main
 from bksgeom.geometry import (
     Subspace,
     SymplecticPoint,
     enumerate_points,
     intersect,
-    is_totally_isotropic,
     packed_form,
 )
 from bksgeom.magic import (
@@ -42,16 +41,10 @@ from bksgeom.pauli import (
     point_word,
     product_of_set,
 )
-from bksgeom.rectangle import (
-    CONTEXT_WORDS,
-    TWIN_CONTEXT_WORDS,
-    anchor_point,
-    magic_rectangle,
-    twin_rectangle,
-)
+from bksgeom.rectangle import CONTEXT_WORDS, anchor_point, magic_rectangle
 from bksgeom.search import SearchOptions, find_magic_rectangles
 
-from reference_geometry import brute_valuation_scan, pt, word_matrix
+from reference_geometry import TWIN_CONTEXT_WORDS, brute_valuation_scan, closure_rest, is_isotropic, pt, word_matrix
 
 
 MERMIN_SQUARE = (
@@ -206,7 +199,7 @@ def test_accepted_contexts_span_totally_isotropic_subspaces(ctx):
     totally isotropic: the report states it without a check."""
     assert _outcome(validate_context, ctx) is None
     (sub,) = MagicConfiguration((ctx,)).context_spans()
-    assert is_totally_isotropic(sub)
+    assert is_isotropic(sub)
     assert set(ctx.points()) <= set(enumerate_points(sub))
 
 
@@ -380,8 +373,8 @@ def test_rectangle_certificate():
     assert cert.certified
 
 
-def test_twin_certificate():
-    cert = parity_witness(twin_rectangle())
+def test_twin_certificate(twin):
+    cert = parity_witness(twin)
     assert cert.certified
     assert cert.nchv_assignment_exists is False
 
@@ -576,10 +569,10 @@ def test_identity_only_contexts_span_the_zero_subspace():
     assert [point_word(p) for p in enumerate_points(lines[1, 3])] == ["ZIII"]
 
 
-def test_shared_point_is_the_anchor():
+def test_shared_point_is_the_anchor(twin):
     assert shared_point(magic_rectangle()) == anchor_point()
     assert point_word(anchor_point()) == "IXII"
-    assert shared_point(twin_rectangle()) == anchor_point()
+    assert shared_point(twin) == anchor_point()
 
 
 def test_shared_point_absent_for_mermin_square():
@@ -644,7 +637,7 @@ def _configuration_with_repeats(draw) -> MagicConfiguration:
 @settings(max_examples=400, deadline=None)
 @given(_configuration_with_repeats())
 @example(magic_rectangle())
-@example(twin_rectangle())
+@example(MagicConfiguration.from_words(TWIN_CONTEXT_WORDS))
 @example(MagicConfiguration.from_words([("II", "-II"), ("XI", "IX", "XX"), ("XI", "IZ", "XZ"), ("II",)]))
 @example(MagicConfiguration.from_words([("XI", "IX", "XX"), ("ZI", "IZ", "ZZ"), ("XI", "IX", "XX")]))
 @example(
@@ -672,10 +665,10 @@ def canon(config: MagicConfiguration):
     )
 
 
-def test_complement_matches_builtin_twin():
-    twin = complement_config(magic_rectangle(), anchor_point())
-    assert canon(twin) == canon(twin_rectangle())
-    for ctx, words in zip(twin.contexts, TWIN_CONTEXT_WORDS):
+def test_complement_matches_builtin_twin(twin):
+    projected = complement_config(magic_rectangle(), anchor_point())
+    assert canon(projected) == canon(twin)
+    for ctx, words in zip(projected.contexts, TWIN_CONTEXT_WORDS):
         assert {o.letters for o in ctx.observables} == set(words)
         assert all(o.sign == 1 for o in ctx.observables)
 
@@ -686,21 +679,19 @@ def test_complement_is_an_involution():
     assert back == rect
 
 
-def test_twin_signs_flip_only_the_affine_context():
-    twin = twin_rectangle()
+def test_twin_signs_flip_only_the_affine_context(twin):
     assert [context_sign(c) for c in twin.contexts] == [1, 1, 1, 1, -1]
 
 
-def test_twin_preserves_quadric_spans():
+def test_twin_preserves_quadric_spans(twin):
     rect_spans = magic_rectangle().context_spans()
-    twin_spans = twin_rectangle().context_spans()
+    twin_spans = twin.context_spans()
     for i in range(4):
         assert rect_spans[i] == twin_spans[i]
     # The affine contexts span different planes through the same line.
     assert rect_spans[4] != twin_spans[4]
-    for config in (magic_rectangle(), twin_rectangle()):
-        _, rest = projective_closure(list(config.contexts[4].points()))
-        assert rest is not None and rest.kind == KIND_LINE
+    for config in (magic_rectangle(), twin):
+        assert classify_set(closure_rest(config.contexts[4].points())).kind == KIND_LINE
 
 
 def test_complement_rejects_imaginary_anchor():

@@ -9,11 +9,9 @@ from bksgeom.geometry import (
     MAX_QUBITS,
     Subspace,
     SymplecticPoint,
-    contains,
     intersect,
     span,
     symplectic_form,
-    third_point,
 )
 from bksgeom.magic import (
     Context,
@@ -198,13 +196,11 @@ S2, S3 = Subspace(2, (4,)), Subspace(3, (8,))
     "call",
     [
         pytest.param(lambda: symplectic_form(P2, P3), id="points-form"),
-        pytest.param(lambda: third_point(P2, P3), id="points-third"),
         pytest.param(lambda: span((P2, P3)), id="points-span"),
         pytest.param(lambda: classify_set((P2, P3)), id="points-classify"),
         pytest.param(lambda: multiply(O2, O3), id="observables-multiply"),
         pytest.param(lambda: commutes(O2, O3), id="observables-commute"),
         pytest.param(lambda: product_of_set((O2, O3)), id="observables-product"),
-        pytest.param(lambda: contains(S3, P2), id="point-and-subspace"),
         pytest.param(lambda: intersect(S2, S3), id="subspaces"),
     ],
 )

@@ -24,7 +24,6 @@ from bksgeom.geometry import (
     _span_values,
     enumerate_points,
     intersect,
-    is_totally_isotropic,
     packed_form,
     span,
 )
@@ -44,7 +43,7 @@ from bksgeom.pauli import (
     parse_observable,
     point_word,
 )
-from bksgeom.rectangle import anchor_point, magic_rectangle, twin_rectangle
+from bksgeom.rectangle import anchor_point, magic_rectangle
 from bksgeom.search import (
     PackedContext,
     SearchOptions,
@@ -60,6 +59,7 @@ from bksgeom.search import (
 
 from reference_geometry import (
     canonical_contexts,
+    is_isotropic,
     packed_contexts,
     partition_mermin_squares,
     pt,
@@ -126,7 +126,7 @@ def test_census_four_qubits():
     assert len(results) == 4
     for ambient, caps in results:
         assert ambient.rank == 4
-        assert is_totally_isotropic(ambient)
+        assert is_isotropic(ambient)
         assert len(caps) == 168
     first_caps = {frozenset(p.value for p in cap) for cap in results[0][1]}
     assert S1_POINTS in first_caps
@@ -163,7 +163,7 @@ def test_lagrangians_through_the_anchor():
     assert len(set(rows)) == 135
     for s in subs:
         assert s.rank == 4
-        assert is_totally_isotropic(s)
+        assert is_isotropic(s)
         assert anchor_point().value in {p.value for p in enumerate_points(s)}
     builtin = {s.rows for s in magic_rectangle().context_spans()[:4]}
     assert builtin <= set(rows)
@@ -227,7 +227,7 @@ def test_lagrangians_against_the_count_and_brute_force(word):
     assert len(set(rows)) == len(rows)
     for s in subs:
         assert s.rank == n
-        assert is_totally_isotropic(s)
+        assert is_isotropic(s)
         assert anchor.value in _closure(s.rows)
     if n <= 3:
         assert {_closure(r) for r in rows} == _brute_force_lagrangians(n, anchor.value)
@@ -786,13 +786,13 @@ def test_cap_matches_the_shape_and_sign_oracles(data, word):
             assert walk.contexts[walk._cap(*picks)] == expected
 
 
-def test_quadrics_are_the_anchor_and_one_point_per_meet_line():
+def test_quadrics_are_the_anchor_and_one_point_per_meet_line(twin):
     """On the built-in pair and 50 raw results at IXII: the six span
     meets of the quadric contexts are lines through the anchor, and each
     quadric is the anchor, one further point of each of its three meet
     lines, and their XOR."""
     anchor = anchor_point()
-    configs = [magic_rectangle(), twin_rectangle()]
+    configs = [magic_rectangle(), twin]
     configs += find_magic_rectangles(rect_options(anchor_point=anchor, limit=50, dedup=False))
     assert len(configs) == 52
     for config in configs:
@@ -818,7 +818,7 @@ def test_lagrangians_two_qubits():
     assert len(subs) == 3
     for s in subs:
         assert s.rank == 2
-        assert is_totally_isotropic(s)
+        assert is_isotropic(s)
 
 
 # ---------------------------------------------------------------------------
@@ -983,7 +983,7 @@ def verify_rectangle(config: MagicConfiguration, anchor: SymplecticPoint) -> Non
     assert cert.nchv_assignment_exists is False
 
 
-def test_canonical_config_matches_the_object_level_order():
+def test_canonical_config_matches_the_object_level_order(twin):
     """Members by observable_key, (value, -sign), then contexts by their
     key lists, as the packed oracle canonical_contexts sorts them; a word
     with both signs decides the context order in the first configuration."""
@@ -993,20 +993,20 @@ def test_canonical_config_matches_the_object_level_order():
     ]
     raw = find_magic_rectangles(rect_options(anchor_point=pt("YYYY"), limit=20, dedup=False))
     configs += raw + [complement_config(config, pt("YYYY")) for config in raw]
-    configs += [magic_rectangle(), twin_rectangle()]
+    configs += [magic_rectangle(), twin]
     for config in configs:
         canonical = canonical_config(config)
         assert packed_contexts(canonical) == canonical_contexts(packed_contexts(config))
         assert canonical.n == config.n
 
 
-def test_seeded_search_finds_original_and_twin():
+def test_seeded_search_finds_original_and_twin(twin):
     results = find_magic_rectangles(
         rect_options(seed=True, anchor_point=anchor_point())
     )
     assert len(results) == 2
     assert results[0] == canonical_config(magic_rectangle())
-    assert results[1] == canonical_config(twin_rectangle())
+    assert results[1] == canonical_config(twin)
 
 
 def test_odd_limit_keeps_twin_pairs_whole():
@@ -1023,10 +1023,10 @@ def test_seeded_raw_stream_emits_seed_verbatim():
     assert results == [magic_rectangle()]
 
 
-def test_seed_puts_the_builtin_pair_before_the_walk():
+def test_seed_puts_the_builtin_pair_before_the_walk(twin):
     """The walk reaches the built-in pair at results 7168 and 7169; the
     seed moves it to the front and the walk skips it."""
-    pair = [canonical_config(magic_rectangle()), canonical_config(twin_rectangle())]
+    pair = [canonical_config(magic_rectangle()), canonical_config(twin)]
     walk = find_magic_rectangles(rect_options(limit=7172))
     assert walk[7168:7170] == pair
     seeded = find_magic_rectangles(rect_options(seed=True, limit=7172))
